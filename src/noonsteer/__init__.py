@@ -46,7 +46,6 @@ from .lossy import (
 )
 from .quadrature import QuadratureGrid, build_grid, default_grid, integrate, integrate_abs
 from .sampling import (
-    ShotRecord,
     SteeringEstimate,
     estimate_steering,
     sample_number_pair,

@@ -82,10 +82,18 @@ def momentum_wavefunction(n: int, p):
     return (-1j) ** n * position_wavefunction(n, p)
 
 
+#: sqrt(2^n n!) for every supported order, the per-row divisor of the stack.
+_STACK_NORMS = np.array(
+    [math.sqrt(2.0**n * math.factorial(n)) for n in range(SUPPORTED_WAVEFUNCTION_ORDER + 1)]
+)
+
+
 def wavefunction_stack(max_order: int, x: np.ndarray) -> np.ndarray:
     """All <x|n> for n = 0..max_order, shape (max_order+1, len(x)).
 
-    Single recurrence pass; cheaper than per-order calls in hot loops.
+    Single recurrence pass; cheaper than per-order calls in hot loops. The
+    Hermite rows follow ``hermite``'s recurrence operation for operation and
+    are then scaled in place.
     """
     if max_order > SUPPORTED_WAVEFUNCTION_ORDER:
         raise OutOfSupportedOrder(
@@ -93,14 +101,17 @@ def wavefunction_stack(max_order: int, x: np.ndarray) -> np.ndarray:
             f"{SUPPORTED_WAVEFUNCTION_ORDER}"
         )
     x = np.asarray(x, dtype=float)
-    y = x / math.sqrt(2.0)
+    two_y = 2.0 * (x / math.sqrt(2.0))
     gauss = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * x * x)
     out = np.empty((max_order + 1, x.size), dtype=float)
-    h_prev = np.zeros_like(y)
-    h = np.ones_like(y)
-    for n in range(max_order + 1):
-        out[n] = h * gauss / math.sqrt(2.0**n * math.factorial(n))
-        h_prev, h = h, 2.0 * y * h - 2.0 * n * h_prev
+    out[0] = 1.0
+    if max_order >= 1:
+        out[1] = two_y
+    for n in range(1, max_order):
+        np.multiply(two_y, out[n], out=out[n + 1])
+        out[n + 1] -= (2.0 * n) * out[n - 1]
+    out *= gauss
+    out /= _STACK_NORMS[: max_order + 1, None]
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -49,22 +50,6 @@ MIN_ACCEPTANCE = 1e-4
 def setting_label(name: str) -> str:
     """Wire name of a setting as written to shot logs."""
     return name if name == SETTING_NUMBER else f"x-then-{name}"
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One measurement event: which local settings, and both outcomes."""
-
-    setting: str
-    outcome_a: float | int
-    outcome_b: float | int
-
-    def __post_init__(self):
-        if self.setting == SETTING_NUMBER:
-            if not (isinstance(self.outcome_a, int) and isinstance(self.outcome_b, int)):
-                raise ValueError("number settings carry integer outcomes")
-        elif not (math.isfinite(self.outcome_a) and math.isfinite(self.outcome_b)):
-            raise ValueError("quadrature outcomes must be finite")
 
 
 @dataclass(frozen=True)
@@ -131,19 +116,23 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)
     ladder_b = binomial_ladder(n_quanta, channel.eta_b)
     branch_a = np.einsum("m,mx->x", ladder_a, psi**2)
+    psi0_sq = psi[0] ** 2
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    coeff_diag = np.multiply.outer(ladder_b, psi[0] ** 2)  # (N+1, nx)
+    coeff_diag = np.multiply.outer(ladder_b, psi0_sq)  # (N+1, nx)
     coeff_diag[0] += branch_a
     coeff_cross = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi[0] * psi[n_quanta]
-    norm = 2.0 * px_density(n_quanta, 0.0, channel, x)
-    return coeff_diag, coeff_cross, norm
+    px = 0.5 * (branch_a + psi0_sq)  # px_density, from the same psi
+    return coeff_diag, coeff_cross, 2.0 * px
 
 
 def _conditional_density(n_quanta, coeff_diag, coeff_cross, norm, q):
     psi_q = wavefunction_stack(n_quanta, q)
-    dens = np.einsum("kx,kx->x", coeff_diag, psi_q**2)
-    dens += coeff_cross * psi_q[0] * psi_q[n_quanta]
-    return np.maximum(dens, 0.0) / norm
+    cross = coeff_cross * psi_q[0] * psi_q[n_quanta]
+    dens = np.einsum("kx,kx->x", coeff_diag, np.square(psi_q, out=psi_q))
+    dens += cross
+    np.maximum(dens, 0.0, out=dens)
+    dens /= norm
+    return dens
 
 
 @lru_cache(maxsize=None)
@@ -182,24 +171,25 @@ def sample_quadrature_pair(
         n_quanta, phi, (channel.eta_a, channel.eta_b), theta
     )
     q = np.empty(size)
+    # shots still waiting for an accepted q, and their density coefficients,
+    # compacted after every round
     pending = np.arange(size)
     proposals = 0
     accepted = 0
     while pending.size:
         prop = rng.normal(0.0, sigma, size=pending.size)
         envelope = np.exp(-0.5 * (prop / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        dens = _conditional_density(
-            n_quanta,
-            coeff_diag[:, pending],
-            coeff_cross[pending],
-            norm[pending],
-            prop,
-        )
+        dens = _conditional_density(n_quanta, coeff_diag, coeff_cross, norm, prop)
         keep = rng.random(pending.size) * scale * envelope <= dens
-        q[pending[keep]] = prop[keep]
+        hits = np.flatnonzero(keep)
+        q[pending[hits]] = prop[hits]
         proposals += pending.size
-        accepted += int(keep.sum())
-        pending = pending[~keep]
+        accepted += hits.size
+        misses = np.flatnonzero(~keep)
+        pending = pending[misses]
+        coeff_diag = coeff_diag.take(misses, axis=1)
+        coeff_cross = coeff_cross[misses]
+        norm = norm[misses]
         if proposals >= 10_000 and accepted < MIN_ACCEPTANCE * proposals:
             raise EnvelopeFailure(
                 f"acceptance {accepted / proposals:.2e} below {MIN_ACCEPTANCE}; "
@@ -279,15 +269,35 @@ def _merged_partition(bin_counts: np.ndarray, edges: np.ndarray):
     return np.array(merged_edges)
 
 
-def _bin_moments(x, y, edges):
-    """Counts and raw power sums of y per bin of x. Deterministic order."""
-    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    counts = np.bincount(idx, minlength=len(edges) - 1).astype(float)
-    sums = {
-        power: np.bincount(idx, weights=y**power, minlength=len(edges) - 1)
-        for power in (1, 2, 3, 4)
+def _binned_power_sums(x_by: dict, y_by: dict, edges: np.ndarray):
+    """Merged partition, then counts and raw power sums of y per merged bin.
+
+    Every setting's x is located once on the fine ``edges`` (values outside
+    the range fall into the end bins). The merged edges are a subset of the
+    fine edges, so each fine bin lies inside exactly one merged bin and a
+    lookup table turns fine indices into merged ones. Returns the merged
+    edges and ``{name: (counts, {power: sum of y**power})}`` for powers 1-4.
+    """
+    n_fine = len(edges) - 1
+    fine_idx = {
+        name: np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_fine - 1)
+        for name, x in x_by.items()
     }
-    return counts, sums
+    min_counts = np.min([np.bincount(idx, minlength=n_fine) for idx in fine_idx.values()], axis=0)
+    merged = _merged_partition(min_counts, edges)
+    n_merged = len(merged) - 1
+    fine_to_merged = np.searchsorted(merged, edges[:-1], side="right") - 1
+    moments = {}
+    for name, idx in fine_idx.items():
+        idx = fine_to_merged[idx]
+        y = y_by[name]
+        counts = np.bincount(idx, minlength=n_merged).astype(float)
+        sums = {
+            power: np.bincount(idx, weights=y**power, minlength=n_merged)
+            for power in (1, 2, 3, 4)
+        }
+        moments[name] = counts, sums
+    return merged, moments
 
 
 def _central_moments(counts, sums):
@@ -323,6 +333,8 @@ def estimate_steering(
     """
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0: nothing to estimate")
+    if bins < 1 or not bin_range[0] < bin_range[1]:
+        raise ValueError("binning needs bins >= 1 and bin_range[0] < bin_range[1]")
     which = which.lower()
     hom_settings, combo = _homodyne_settings(n_quanta, which)
     settings = [SETTING_NUMBER, *hom_settings]
@@ -362,17 +374,13 @@ def estimate_steering(
         )
 
     edges = np.linspace(bin_range[0], bin_range[1], bins + 1)
-    raw_counts = {
-        name: _bin_moments(x_by[name], q_by[name] ** n_quanta, edges)[0]
-        for name in hom_settings
-    }
-    min_counts = np.min(np.stack([raw_counts[name] for name in hom_settings]), axis=0)
-    merged = _merged_partition(min_counts, edges)
+    merged, moments = _binned_power_sums(
+        x_by, {name: q**n_quanta for name, q in q_by.items()}, edges
+    )
     n_merged = len(merged) - 1
 
     stats = {}
-    for name in hom_settings:
-        counts, sums = _bin_moments(x_by[name], q_by[name] ** n_quanta, edges=merged)
+    for name, (counts, sums) in moments.items():
         mean, m2, m4 = _central_moments(counts, sums)
         stats[name] = {"counts": counts, "mean": mean, "m2": m2, "m4": m4}
 
@@ -426,7 +434,7 @@ def estimate_steering(
         se_e = math.inf
 
     if shot_log is not None:
-        _write_shot_log(shot_log, settings, per_setting, n_a, n_b, x_by, q_by)
+        _write_shot_log(shot_log, settings, n_a, n_b, x_by, q_by)
 
     return SteeringEstimate(
         n_quanta=n_quanta,
@@ -444,41 +452,40 @@ def estimate_steering(
     )
 
 
-def _format_outcome(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
+#: Shot-log rounds formatted per write, which bounds the text held in memory.
+SHOT_LOG_ROUNDS = 1 << 14
 
 
-def _iter_shot_records(settings, per_setting, n_a, n_b, x_by, q_by):
-    """Shot records in round-robin setting order."""
-    cursors = {name: 0 for name in settings}
-    remaining = dict(per_setting)
-    total = sum(remaining.values())
-    for i in range(total):
-        name = settings[i % len(settings)]
-        while remaining[name] == 0:
-            name = settings[(settings.index(name) + 1) % len(settings)]
-        j = cursors[name]
-        if name == SETTING_NUMBER:
-            record = ShotRecord(setting_label(name), int(n_a[j]), int(n_b[j]))
-        else:
-            record = ShotRecord(setting_label(name), float(x_by[name][j]), float(q_by[name][j]))
-        cursors[name] = j + 1
-        remaining[name] -= 1
-        yield record
+def _write_shot_log(target, settings, n_a, n_b, x_by, q_by):
+    """One CSV line per shot: setting,outcome_a,outcome_b (9 significant digits).
 
-
-def _write_shot_log(target, settings, per_setting, n_a, n_b, x_by, q_by):
-    """One CSV line per shot: setting,outcome_a,outcome_b (9 significant digits)."""
+    Shots are interleaved round-robin: round r holds the r-th shot of every
+    setting that has one, in setting order. Number outcomes must be integers
+    and homodyne outcomes finite; anything else raises ValueError before the
+    log is opened.
+    """
+    n_a, n_b = np.asarray(n_a), np.asarray(n_b)
+    if not (np.issubdtype(n_a.dtype, np.integer) and np.issubdtype(n_b.dtype, np.integer)):
+        raise ValueError("number settings carry integer outcomes")
+    columns = [(f"{SETTING_NUMBER},%d,%d\n", n_a, n_b)]
+    for name in settings[1:]:
+        x, q = x_by[name], q_by[name]
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(q))):
+            raise ValueError("quadrature outcomes must be finite")
+        columns.append((f"{setting_label(name)},%.9g,%.9g\n", x, q))
+    rounds = max(out_a.size for _, out_a, _ in columns)
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w") if own else target
     try:
         handle.write("setting,outcome_a,outcome_b\n")
-        for record in _iter_shot_records(settings, per_setting, n_a, n_b, x_by, q_by):
-            handle.write(
-                f"{record.setting},{_format_outcome(record.outcome_a)},"
-                f"{_format_outcome(record.outcome_b)}\n"
+        for start in range(0, rounds, SHOT_LOG_ROUNDS):
+            part = slice(start, start + SHOT_LOG_ROUNDS)
+            lines = [
+                [template % pair for pair in zip(out_a[part].tolist(), out_b[part].tolist())]
+                for template, out_a, out_b in columns
+            ]
+            handle.writelines(
+                line for shot_round in zip_longest(*lines) for line in shot_round if line is not None
             )
     finally:
         if own:

@@ -78,6 +78,19 @@ class TestWavefunctions:
         gram = np.trapezoid(psi[:, None, :] * psi[None, :, :], xs, axis=-1)
         np.testing.assert_allclose(gram, np.eye(11), atol=1e-8)
 
+    @pytest.mark.parametrize("max_order", [0, 1, 4, SUPPORTED_WAVEFUNCTION_ORDER])
+    @pytest.mark.parametrize(
+        "xs",
+        [np.linspace(-6.0, 6.0, 25), np.array([0.75]), np.array([])],
+        ids=["grid", "single", "empty"],
+    )
+    def test_stack_matches_single_orders(self, max_order, xs):
+        # single points come from bisection, empty arrays from settings with no shots
+        psi = wavefunction_stack(max_order, xs)
+        assert psi.shape == (max_order + 1, xs.size)
+        for n in range(max_order + 1):
+            np.testing.assert_allclose(psi[n], position_wavefunction(n, xs), rtol=1e-14, atol=0)
+
     def test_out_of_supported_order(self):
         with pytest.raises(OutOfSupportedOrder):
             position_wavefunction(SUPPORTED_WAVEFUNCTION_ORDER + 1, 0.0)

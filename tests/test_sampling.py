@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -8,6 +9,11 @@ from noonsteer.errors import EnvelopeFailure, InsufficientBinOccupancy
 from noonsteer.inferred import px_density
 from noonsteer.lossy import LOSSLESS, LossChannel
 from noonsteer.sampling import (
+    MIN_BIN_OCCUPANCY,
+    SETTING_NUMBER,
+    _binned_power_sums,
+    _merged_partition,
+    _write_shot_log,
     envelope_acceptance_audit,
     estimate_steering,
     sample_number_pair,
@@ -174,3 +180,114 @@ class TestEstimator:
             hits["c"] += abs(est.commutator_modulus.value - analytic_c) < 4 * est.commutator_modulus.stderr
         for name, count in hits.items():
             assert count >= 38, f"{name}: only {count}/40 within 4 sigma"
+
+
+def bin_moments_reference(x, y, edges):
+    """Counts and raw power sums of y per bin of x, one search per bin edge set."""
+    idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
+    counts = np.bincount(idx, minlength=len(edges) - 1).astype(float)
+    sums = {
+        power: np.bincount(idx, weights=y**power, minlength=len(edges) - 1)
+        for power in (1, 2, 3, 4)
+    }
+    return counts, sums
+
+
+class TestBinning:
+    def test_fine_to_merged_lookup_matches_two_pass_reference(self):
+        gen = rng(31)
+        edges = np.linspace(-8.0, 8.0, 129)
+        outside = np.array([-20.0, np.nextafter(-8.0, -np.inf), 8.0, 8.5, 1e9])
+        x_by, y_by = {}, {}
+        for name, size in (("P", 6_000), ("X_pi4", 5_500), ("X", 5_800)):
+            x = np.concatenate([gen.normal(0.0, 2.0, size), edges, outside])
+            x_by[name] = gen.permutation(x)
+            y_by[name] = gen.normal(0.0, 1.5, x.size) ** 3  # signed, like q**N at odd N
+        fine_min = np.min([bin_moments_reference(x_by[n], y_by[n], edges)[0] for n in x_by], axis=0)
+        assert fine_min[-1] < MIN_BIN_OCCUPANCY  # the right tail is folded
+        want_edges = _merged_partition(fine_min, edges)
+
+        merged, moments = _binned_power_sums(x_by, y_by, edges)
+
+        np.testing.assert_array_equal(merged, want_edges)
+        for name in x_by:
+            counts, sums = moments[name]
+            want_counts, want_sums = bin_moments_reference(x_by[name], y_by[name], merged)
+            np.testing.assert_array_equal(counts, want_counts)
+            assert counts.sum() == x_by[name].size
+            for power in (1, 2, 3, 4):
+                np.testing.assert_array_equal(sums[power], want_sums[power])
+
+    def test_invalid_binning_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bins=0)
+        with pytest.raises(ValueError):
+            estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bin_range=(1.0, 1.0))
+
+
+class TestShotLogValidation:
+    def test_number_outcomes_must_be_integers(self):
+        n_a = np.array([1.0, 0.0])
+        with pytest.raises(ValueError, match="integer"):
+            _write_shot_log(io.StringIO(), [SETTING_NUMBER], n_a, n_a, {}, {})
+
+    def test_quadrature_outcomes_must_be_finite(self):
+        n = np.array([1, 0])
+        with pytest.raises(ValueError, match="finite"):
+            _write_shot_log(
+                io.StringIO(), [SETTING_NUMBER, "P"], n, n,
+                {"P": np.array([0.5, np.nan])}, {"P": np.array([0.1, 0.2])},
+            )
+
+
+#: estimate_steering(N, phi, LossChannel(0.95, 0.93), "p", shots, bins=128,
+#: seed) -> (merged bins, e_hat, stderr, var_number value and stderr,
+#: var_quadrature_n value and stderr, commutator_modulus value and stderr),
+#: recorded bit for bit from the two-pass binning sampler (numpy 2.4 on an
+#: x86-64 CPU with AVX-512, where numpy's exp and pow take SIMD kernels whose
+#: last bits differ from libm's). A change to the random stream (draw order,
+#: sizes or envelope) must re-record these.
+RECORDED_ESTIMATES = {
+    (1, 0.0, 30_000, 101): (53, (
+        "0x1.c304cf8cde106p-1", "0x1.10a96cf3cfd30p-5", "0x1.cd4d6eb30d7f8p-5",
+        "0x1.ec35ec6d5c7ebp-10", "0x1.e8ac3bf6f5b0dp+0", "0x1.5f345f2e2d1cep-6",
+        "0x1.7d1ed83be25dbp-1", "0x1.7a028fb095cf1p-7",
+    )),
+    (2, math.pi / 2, 40_003, 202): (61, (
+        "0x1.ca529d4cce52ap-1", "0x1.0b7aa31280834p-4", "0x1.1ee035d42ed5fp-4",
+        "0x1.6bb8588f91ed4p-9", "0x1.425d67f51cbd3p+3", "0x1.c0c82f8dbbe2ep-3",
+        "0x1.e06f4b33819afp+0", "0x1.44e17901957e2p-4",
+    )),
+    (3, 0.0, 50_000, 303): (69, (
+        "0x1.8d80c07050c5ap+1", "0x1.ba17e2b21a6efp-2", "0x1.a448972841ed3p-4",
+        "0x1.d17ccbd32153bp-9", "0x1.abf61bbf8ad50p+8", "0x1.74bfc0843e9dfp+3",
+        "0x1.1121e020380bbp+2", "0x1.d871066129797p-2",
+    )),
+}
+
+#: sha256 of the shot log of the N = 2 configuration above (40003 shots, so
+#: the last round is partial), recorded with the estimates.
+RECORDED_LOG_SHA256 = "713ac5da0e07bd0a61748891d051f6476b5d27fd07489b45c05ba38487daa854"
+
+
+class TestRecordedParity:
+    @pytest.mark.parametrize("config", list(RECORDED_ESTIMATES), ids=["N1", "N2", "N3"])
+    def test_estimate_bit_for_bit(self, config):
+        n_quanta, phi, shots, seed = config
+        bins, fields = RECORDED_ESTIMATES[config]
+        log = io.StringIO() if n_quanta == 2 else None
+        est = estimate_steering(
+            n_quanta, phi, LossChannel(0.95, 0.93), "p", shots=shots, bins=128, seed=seed,
+            shot_log=log,
+        )
+        got = (
+            est.e_hat, est.stderr,
+            est.var_number.value, est.var_number.stderr,
+            est.var_quadrature_n.value, est.var_quadrature_n.stderr,
+            est.commutator_modulus.value, est.commutator_modulus.stderr,
+        )
+        assert est.bins == bins
+        assert [value.hex() for value in got] == list(fields)
+        if log is not None:
+            digest = hashlib.sha256(log.getvalue().encode()).hexdigest()
+            assert digest == RECORDED_LOG_SHA256
