@@ -91,16 +91,31 @@ def overlap_abs_integral(n_quanta: int) -> float:
     return integrate_abs(integrand)
 
 
-def _branch_profiles(n_quanta: int, channel: LossChannel, x: np.ndarray):
+def _ladders(n_quanta: int, etas) -> np.ndarray:
+    """Binomial survival ladders, one row per efficiency: shape (C, N+1)."""
+    return np.array([binomial_ladder(n_quanta, eta) for eta in etas])
+
+
+def _channel_list(channel) -> list[LossChannel]:
+    return [channel] if isinstance(channel, LossChannel) else list(channel)
+
+
+def _branch_profiles(n_quanta: int, ladder_a: np.ndarray, x: np.ndarray):
     """Per-x ingredients shared by every conditional quantity.
 
-    Returns (branch_a, psi0_sq, psi0_psiN, px) where branch_a is the
-    binomially weighted a-ladder profile and px the outcome density.
+    ``ladder_a`` holds one a-mode ladder per channel, shape (C, N+1).
+    Returns (branch_a, psi0_sq, psi0_psiN, px): branch_a, the binomially
+    weighted a-ladder profile, and px, the outcome density, have shape
+    (C, len(x)); the two psi products are shared by every channel. The ladder
+    sum runs term by term, so each row's arithmetic is that of a one-channel
+    call.
     """
     psi = wavefunction_stack(n_quanta, x)
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    branch_a = np.einsum("m,mx->x", ladder_a, psi**2)
-    psi0_sq = psi[0] ** 2
+    psi_sq = psi**2
+    branch_a = ladder_a[:, :1] * psi_sq[0]
+    for m in range(1, n_quanta + 1):
+        branch_a += ladder_a[:, m : m + 1] * psi_sq[m]
+    psi0_sq = psi_sq[0]
     psi0_psin = psi[0] * psi[n_quanta]
     px = 0.5 * (branch_a + psi0_sq)
     return branch_a, psi0_sq, psi0_psin, px
@@ -111,27 +126,33 @@ def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
     with the other conditional operations)."""
     del phi
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    _, _, _, px = _branch_profiles(n_quanta, channel, x_arr)
-    return px if np.ndim(x) else float(px[0])
+    _, _, _, px = _branch_profiles(n_quanta, _ladders(n_quanta, [channel.eta_a]), x_arr)
+    return px[0] if np.ndim(x) else float(px[0, 0])
 
 
-def _moment_numerators(n_quanta, phi, channel, which, orders, x):
-    """S_n(x) = 2 P(x) <Q^n>_x for each requested order, plus P(x)."""
+def _moment_numerators(n_quanta, phi, channels, which, orders):
+    """S_n(x) = 2 P(x) <Q^n>_x for each requested order, plus P(x).
+
+    Builds the per-channel coefficients once and returns a function of x
+    giving ([S_n per order], px), each of shape (len(channels), len(x)).
+    """
     theta = _THETA[_norm_which(which)]
-    branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, channel, x)
-    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
+    ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
+    ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
+    damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
     cross_coeff = 2.0 * damping * math.cos(n_quanta * theta - phi)
-    numerators = []
+    terms = []
     for order in orders:
-        diag_b = sum(ladder_b[k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
-        s = (
-            branch_a * moment_integral(order, 0, 0)
-            + psi0_sq * diag_b
-            + cross_coeff * moment_integral(order, 0, n_quanta) * psi0_psin
-        )
-        numerators.append(s)
-    return numerators, px
+        diag_b = sum(ladder_b[:, k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
+        cross = cross_coeff * moment_integral(order, 0, n_quanta)
+        terms.append((moment_integral(order, 0, 0), diag_b[:, None], cross[:, None]))
+
+    def numerators(x):
+        branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
+        return [branch_a * r00 + psi0_sq * diag_b + cross * psi0_psin
+                for r00, diag_b, cross in terms], px
+
+    return numerators
 
 
 def conditional_quadrature_moment(
@@ -146,33 +167,32 @@ def conditional_quadrature_moment(
     if order < 1:
         raise ValueError("moment order must be >= 1")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    (s,), px = _moment_numerators(n_quanta, phi, channel, which, [order], x_arr)
+    (s,), px = _moment_numerators(n_quanta, phi, [channel], which, [order])(x_arr)
     if np.any(px < CONDITIONING_FLOOR):
         raise ZeroProbabilityConditioning("conditioning density vanished")
-    out = s / (2.0 * px)
+    out = (s / (2.0 * px))[0]
     return out if np.ndim(x) else float(out[0])
 
 
-def inferred_variance_quadrature(
-    n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
-) -> float:
+def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str = "p"):
     """Average conditional variance of Q_b^N given the a-mode X outcome.
 
     Integrated in the product form P(x) * Var(Q^N | x), which stays finite
-    where P(x) underflows.
+    where P(x) underflows. ``channel`` is one LossChannel, giving a float, or
+    a sequence of them, giving an array: their integrands share the nodes and
+    one batched ``integrate`` call, and each entry equals the one-channel
+    value bit for bit.
     """
-    which = _norm_which(which)
+    channels = _channel_list(channel)
+    numerators = _moment_numerators(n_quanta, phi, channels, which, [n_quanta, 2 * n_quanta])
 
     def integrand(x):
-        (s_n, s_2n), px = _moment_numerators(
-            n_quanta, phi, channel, which, [n_quanta, 2 * n_quanta], x
-        )
-        safe = px > CONDITIONING_FLOOR
-        ratio = np.zeros_like(px)
-        ratio[safe] = s_n[safe] ** 2 / (4.0 * px[safe])
+        (s_n, s_2n), px = numerators(x)
+        ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
         return 0.5 * s_2n - ratio
 
-    return integrate(integrand)
+    values = integrate(integrand)
+    return float(values[0]) if isinstance(channel, LossChannel) else values
 
 
 def inferred_number_variance(n_quanta: int, channel: LossChannel) -> float:
@@ -197,6 +217,16 @@ def commutator_phase_factor(n_quanta: int, phi: float, which: str) -> float:
     return abs(math.sin(phi))
 
 
+def check_commutator_order(n_quanta: int, channel: LossChannel):
+    """Raise UnsupportedOrder where the lossy commutator reduction is not
+    established (a lossy channel with N > MAX_LOSSY_COMMUTATOR_ORDER)."""
+    if not channel.lossless and n_quanta > MAX_LOSSY_COMMUTATOR_ORDER:
+        raise UnsupportedOrder(
+            f"lossy commutator reduction is only established for N <= "
+            f"{MAX_LOSSY_COMMUTATOR_ORDER}, got N={n_quanta}"
+        )
+
+
 def inferred_commutator_modulus(
     n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
 ) -> float:
@@ -207,11 +237,7 @@ def inferred_commutator_modulus(
     reduction is established for N <= 5, so lossy evaluation refuses larger N
     rather than guessing.
     """
-    if not channel.lossless and n_quanta > MAX_LOSSY_COMMUTATOR_ORDER:
-        raise UnsupportedOrder(
-            f"lossy commutator reduction is only established for N <= "
-            f"{MAX_LOSSY_COMMUTATOR_ORDER}, got N={n_quanta}"
-        )
+    check_commutator_order(n_quanta, channel)
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
     return (
         n_quanta
@@ -222,19 +248,30 @@ def inferred_commutator_modulus(
     )
 
 
-def compute_inferred_moments(
-    n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
-) -> InferredMoments:
+def compute_inferred_moments(n_quanta: int, phi: float, channel, which: str = "p"):
+    """The three steering ingredients for one channel, or a list of them for
+    a sequence of channels (one batched variance integral).
+
+    Every commutator modulus is formed first, so an unsupported order is
+    reported before any quadrature runs.
+    """
     which = _norm_which(which)
-    return InferredMoments(
-        n_quanta=n_quanta,
-        phi=phi,
-        channel=channel,
-        which=which,
-        var_number=inferred_number_variance(n_quanta, channel),
-        var_quadrature_n=inferred_variance_quadrature(n_quanta, phi, channel, which),
-        commutator_modulus=inferred_commutator_modulus(n_quanta, phi, channel, which),
-    )
+    channels = _channel_list(channel)
+    moduli = [inferred_commutator_modulus(n_quanta, phi, ch, which) for ch in channels]
+    var_quad = inferred_variance_quadrature(n_quanta, phi, channels, which)
+    moments = [
+        InferredMoments(
+            n_quanta=n_quanta,
+            phi=phi,
+            channel=ch,
+            which=which,
+            var_number=inferred_number_variance(n_quanta, ch),
+            var_quadrature_n=float(v),
+            commutator_modulus=modulus,
+        )
+        for ch, v, modulus in zip(channels, var_quad, moduli)
+    ]
+    return moments[0] if isinstance(channel, LossChannel) else moments
 
 
 # -- matrix route --------------------------------------------------------------

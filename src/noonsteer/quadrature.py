@@ -9,6 +9,7 @@ this package carry modulus kinks that break polynomial exactness; for those,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -16,6 +17,12 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceFailure
 
 DEFAULT_HALF_WIDTH = 12.0
+
+#: A batched ``integrate`` call stops refining, and raises ConvergenceFailure,
+#: once rows x nodes would pass this many values (4 MB per working array), so
+#: one stalled row cannot inflate a whole batch; callers re-run such a batch
+#: one row at a time. One-row calls are not limited.
+BATCH_VALUE_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -32,11 +39,21 @@ class QuadratureGrid:
         return build_grid(self.domain, panels=2 * self.panels, order=self.order)
 
 
+@lru_cache(maxsize=None)
+def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
+    shared read-only by every grid."""
+    nodes, weights = leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def build_grid(domain: tuple[float, float], panels: int = 48, order: int = 10) -> QuadratureGrid:
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("empty integration domain")
-    base_x, base_w = leggauss(order)
+    base_x, base_w = _base_rule(order)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -56,24 +73,43 @@ def integrate(
     abs_tol: float = 1e-9,
     rel_tol: float = 1e-12,
     max_refinements: int = 14,
-) -> float:
+) -> float | np.ndarray:
     """Integrate a vectorized real function, refining until stable.
 
-    ``f`` must accept an ndarray of nodes and return values of equal shape.
-    Raises ConvergenceFailure if panel doubling stalls above tolerance.
+    ``f`` is called with the ndarray of nodes. It returns either values of
+    the same shape, and the integral comes back as a float, or shape
+    (C, nodes) for C integrands at once, and a length-C array comes back.
+    Each row keeps the value of the first level at which it agrees with the
+    level before within ``abs_tol + rel_tol * |value|``, and each row is summed
+    on its own, so a row's result does not depend on the rows beside it.
+    Raises ConvergenceFailure if panel doubling stalls above tolerance for
+    any row, or if a batch outgrows ``BATCH_VALUE_BUDGET``.
     """
     if grid is None:
         grid = default_grid()
-    value = float(np.dot(grid.weights, f(grid.nodes)))
+    previous = np.asarray(np.sum(f(grid.nodes) * grid.weights, axis=-1))
+    result = np.empty_like(previous)
+    pending = np.ones(previous.shape, dtype=bool)
+    delta = np.full(previous.shape, np.inf)
     for _ in range(max_refinements):
         grid = grid.refined()
-        refined = float(np.dot(grid.weights, f(grid.nodes)))
-        if abs(refined - value) <= abs_tol + rel_tol * abs(refined):
-            return refined
-        value = refined
+        if previous.size > 1 and previous.size * grid.nodes.size > BATCH_VALUE_BUDGET:
+            raise ConvergenceFailure(
+                f"batch of {previous.size} rows would pass {BATCH_VALUE_BUDGET} values at "
+                f"panels={grid.panels}; largest unconverged delta {np.max(delta[pending]):.3e}"
+            )
+        current = np.asarray(np.sum(f(grid.nodes) * grid.weights, axis=-1))
+        delta = np.abs(current - previous)
+        converged = pending & (delta <= abs_tol + rel_tol * np.abs(current))
+        result[converged] = current[converged]
+        pending &= ~converged
+        if not pending.any():
+            return float(result) if result.ndim == 0 else result
+        previous = current
+    rows = "" if delta.ndim == 0 else f" (largest of {int(pending.sum())} unconverged rows)"
     raise ConvergenceFailure(
         f"refinement stalled at panels={grid.panels} with last delta "
-        f"{abs(refined - value):.3e}"
+        f"{np.max(delta[pending]):.3e}{rows}"
     )
 
 

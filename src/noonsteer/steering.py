@@ -27,6 +27,7 @@ from .errors import (
 )
 from .fock import operator_matrix, wavefunction_stack
 from .inferred import (
+    check_commutator_order,
     commutator_phase_factor,
     compute_inferred_moments,
     inferred_commutator_modulus,
@@ -37,6 +38,10 @@ from .quadrature import integrate_abs
 
 #: Phase factors smaller than this count as an analytically zero denominator.
 PHASE_TOLERANCE = 1e-9
+
+#: Configurations per batched variance integral in ``sweep``. Bounds the
+#: (configurations x nodes) working arrays of one integrand evaluation.
+SWEEP_CHUNK = 32
 
 
 def caption_phase(n_quanta: int) -> float:
@@ -102,30 +107,46 @@ def check_phase(n_quanta: int, phi: float, which: str):
         )
 
 
+def _screen(n_quanta: int, channel: LossChannel):
+    """The per-channel checks that need no quadrature."""
+    if channel.eta_a * channel.eta_b == 0.0:
+        raise DegenerateChannel("eta_a * eta_b = 0 zeroes the denominator")
+    check_commutator_order(n_quanta, channel)
+
+
+def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str):
+    """Steering reports for screened channels, one batched variance integral."""
+    reports = []
+    for moments in compute_inferred_moments(n_quanta, phi, channels, which):
+        e_value = (
+            2.0
+            * math.sqrt(moments.var_number * moments.var_quadrature_n)
+            / moments.commutator_modulus
+        )
+        reports.append(
+            SteeringReport(
+                n_quanta=n_quanta,
+                phi=phi,
+                channel=moments.channel,
+                which=moments.which,
+                var_number=moments.var_number,
+                var_quadrature_n=moments.var_quadrature_n,
+                commutator_modulus=moments.commutator_modulus,
+                E=e_value,
+                violated=bool(e_value < 1.0),
+            )
+        )
+    return reports
+
+
 def steering_functional(
     n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
 ) -> SteeringReport:
     """Evaluate the steering ratio E for one configuration."""
     check_phase(n_quanta, phi, which)
-    if channel.eta_a * channel.eta_b == 0.0:
-        raise DegenerateChannel("eta_a * eta_b = 0 zeroes the denominator")
-    moments = compute_inferred_moments(n_quanta, phi, channel, which)
-    e_value = (
-        2.0
-        * math.sqrt(moments.var_number * moments.var_quadrature_n)
-        / moments.commutator_modulus
-    )
-    return SteeringReport(
-        n_quanta=n_quanta,
-        phi=phi,
-        channel=channel,
-        which=moments.which,
-        var_number=moments.var_number,
-        var_quadrature_n=moments.var_quadrature_n,
-        commutator_modulus=moments.commutator_modulus,
-        E=e_value,
-        violated=bool(e_value < 1.0),
-    )
+    _screen(n_quanta, channel)
+    (report,) = _reports(n_quanta, phi, [channel], which)
+    return report
 
 
 def e1p_closed_form(channel: LossChannel) -> float:
@@ -201,7 +222,9 @@ def sweep(
     Either ``symmetric`` (eta_a = eta_b along one axis) or the full
     ``eta_a_values`` x ``eta_b_values`` product grid. Failing points are
     flagged in their row instead of aborting the sweep. Rows are sorted by
-    (N, eta_a, eta_b) regardless of evaluation order.
+    (N, eta_a, eta_b) regardless of evaluation order. Each N is evaluated in
+    batches (see ``_sweep_slice``); a row equals ``steering_functional`` at
+    its point bit for bit.
     """
     if symmetric is not None:
         if eta_a_values is not None or eta_b_values is not None:
@@ -219,37 +242,59 @@ def sweep(
     rows = []
     for n_quanta in orders:
         phi = phi_rule(n_quanta) if callable(phi_rule) else float(phi_rule)
-        for eta_a, eta_b in pairs:
-            try:
-                report = steering_functional(n_quanta, phi, LossChannel(eta_a, eta_b), which)
-            except NoonSteerError as exc:
-                rows.append(
-                    SweepRow(
-                        n_quanta=n_quanta,
-                        phi=phi,
-                        eta_a=eta_a,
-                        eta_b=eta_b,
-                        which=which,
-                        error=type(exc).__name__,
-                    )
-                )
-                continue
+        outcomes = _sweep_slice(n_quanta, phi, which, pairs)
+        for (eta_a, eta_b), outcome in zip(pairs, outcomes):
+            if isinstance(outcome, NoonSteerError):
+                values = {"error": type(outcome).__name__}
+            else:
+                values = {
+                    "var_number": outcome.var_number,
+                    "var_quadrature_n": outcome.var_quadrature_n,
+                    "commutator_modulus": outcome.commutator_modulus,
+                    "E": outcome.E,
+                    "violated": outcome.violated,
+                }
             rows.append(
-                SweepRow(
-                    n_quanta=n_quanta,
-                    phi=phi,
-                    eta_a=eta_a,
-                    eta_b=eta_b,
-                    which=which,
-                    var_number=report.var_number,
-                    var_quadrature_n=report.var_quadrature_n,
-                    commutator_modulus=report.commutator_modulus,
-                    E=report.E,
-                    violated=report.violated,
-                )
+                SweepRow(n_quanta=n_quanta, phi=phi, eta_a=eta_a, eta_b=eta_b, which=which, **values)
             )
     rows.sort(key=lambda r: (r.n_quanta, r.eta_a, r.eta_b))
     return rows
+
+
+def _sweep_slice(n_quanta: int, phi: float, which: str, pairs) -> list:
+    """A SteeringReport or the NoonSteerError of each (eta_a, eta_b) pair,
+    exactly as ``steering_functional`` gives them, from one batched variance
+    integral per SWEEP_CHUNK screened pairs. A chunk that fails is re-run
+    one configuration at a time, so only its failing rows are flagged."""
+    try:
+        check_phase(n_quanta, phi, which)
+    except NondiscriminatingPhase as exc:
+        return [exc] * len(pairs)
+    outcomes: list = [None] * len(pairs)
+    screened = []
+    for i, (eta_a, eta_b) in enumerate(pairs):
+        channel = LossChannel(eta_a, eta_b)
+        try:
+            _screen(n_quanta, channel)
+        except NoonSteerError as exc:
+            outcomes[i] = exc
+        else:
+            screened.append((i, channel))
+    for start in range(0, len(screened), SWEEP_CHUNK):
+        chunk = screened[start : start + SWEEP_CHUNK]
+        try:
+            reports = _reports(n_quanta, phi, [channel for _, channel in chunk], which)
+        except NoonSteerError:
+            reports = []
+            for _, channel in chunk:
+                try:
+                    (report,) = _reports(n_quanta, phi, [channel], which)
+                except NoonSteerError as exc:
+                    report = exc
+                reports.append(report)
+        for (i, _), report in zip(chunk, reports):
+            outcomes[i] = report
+    return outcomes
 
 
 def protocol_combination(n_quanta: int, which: str, dim: int) -> np.ndarray:

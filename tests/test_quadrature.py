@@ -2,10 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
+from noonsteer import quadrature
 from noonsteer.errors import ConvergenceFailure
 from noonsteer.fock import position_wavefunction
 from noonsteer.quadrature import build_grid, default_grid, integrate, integrate_abs
+
+
+def gaussian_wave(width, freq):
+    return lambda x: np.exp(-x * x / (2.0 * width * width)) * np.cos(freq * x)
+
+
+def levels_used(f):
+    """Integrand evaluations a one-row ``integrate`` call makes."""
+    calls = []
+    integrate(lambda x: calls.append(None) or f(x))
+    return len(calls)
 
 
 class TestGrid:
@@ -27,6 +42,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid((1.0, 1.0))
 
+    def test_base_rule_is_cached_read_only_and_exact(self):
+        nodes, weights = quadrature._base_rule(10)
+        fresh_nodes, fresh_weights = leggauss(10)
+        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        assert quadrature._base_rule(10)[0] is nodes
+
 
 class TestIntegrate:
     def test_gaussian(self):
@@ -43,8 +67,60 @@ class TestIntegrate:
         assert value == pytest.approx(double_fact * math.sqrt(2 * math.pi), rel=1e-9)
 
     def test_convergence_failure(self):
-        with pytest.raises(ConvergenceFailure):
-            integrate(lambda x: np.sin(1e5 * x * x), max_refinements=3)
+        def f(x):
+            return np.sin(1e5 * x * x)
+
+        with pytest.raises(ConvergenceFailure) as failure:
+            integrate(f, max_refinements=3)
+        grids = [default_grid()]
+        for _ in range(3):
+            grids.append(grids[-1].refined())
+        last, before = (np.sum(f(g.nodes) * g.weights) for g in grids[:-3:-1])
+        delta = abs(last - before)
+        assert delta > 0.0
+        assert str(failure.value) == f"refinement stalled at panels=384 with last delta {delta:.3e}"
+
+    def test_batch_failure_reports_largest_unconverged_delta(self):
+        rows = [lambda x: np.sin(1e5 * x * x), gaussian_wave(1.0, 0.0), lambda x: 0.5 * np.sin(1e5 * x * x)]
+        with pytest.raises(ConvergenceFailure) as failure:
+            integrate(lambda x: np.stack([f(x) for f in rows]), max_refinements=3)
+        deltas = []
+        for f in rows[::2]:
+            with pytest.raises(ConvergenceFailure) as single:
+                integrate(f, max_refinements=3)
+            deltas.append(float(str(single.value).split()[-1]))
+        assert f"last delta {max(deltas):.3e} (largest of 2 unconverged rows)" in str(failure.value)
+
+    def test_batch_outgrowing_its_budget_fails(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "BATCH_VALUE_BUDGET", 4000)
+        stack = lambda x: np.stack([np.sin(1e5 * x * x), np.exp(-x * x)])
+        with pytest.raises(ConvergenceFailure, match="batch of 2 rows would pass 4000 values at panels=384"):
+            integrate(stack)
+        # a one-row call is never cut short by the budget
+        assert integrate(lambda x: np.exp(-x * x)) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+
+
+class TestVectorIntegrate:
+    def test_rows_converge_at_their_own_levels(self):
+        rows = [gaussian_wave(0.5, freq) for freq in (0.0, 40.0, 80.0, 200.0)]
+        assert [levels_used(f) for f in rows] == [2, 3, 4, 6]
+        batch = integrate(lambda x: np.stack([f(x) for f in rows]))
+        assert batch.shape == (4,)
+        assert [v.hex() for v in batch.tolist()] == [integrate(f).hex() for f in rows]
+
+    def test_scalar_call_returns_float(self):
+        assert type(integrate(gaussian_wave(1.0, 0.0))) is float
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.floats(0.3, 3.0), st.floats(0.0, 200.0)), min_size=1, max_size=6
+        )
+    )
+    def test_matches_scalar_integrate_row_for_row(self, shapes):
+        rows = [gaussian_wave(width, freq) for width, freq in shapes]
+        batch = integrate(lambda x: np.stack([f(x) for f in rows]))
+        assert [v.hex() for v in batch.tolist()] == [integrate(f).hex() for f in rows]
 
 
 class TestIntegrateAbs:

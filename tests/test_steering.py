@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _states import coherent_vector, fock_vector, product_density
+from noonsteer import inferred, quadrature, steering
 from noonsteer.errors import (
     DegenerateChannel,
     NondiscriminatingPhase,
+    NoonSteerError,
     NoThresholdInBracket,
+    OutOfSupportedOrder,
     UnsupportedOrder,
 )
 from noonsteer.fock import operator_matrix
@@ -164,6 +168,113 @@ class TestSweep:
             sweep([1], 0.0, "p", symmetric=[0.9])
         with pytest.raises(ValueError):
             sweep([1], 0.0, "p")
+
+
+ROW_FIELDS = ("var_number", "var_quadrature_n", "commutator_modulus", "E", "violated")
+
+
+def row_outcome(row):
+    """A sweep row as comparable data: its error class, or the hex of every value."""
+    if row.error is not None:
+        return row.error
+    return tuple(v if isinstance(v, bool) else float(v).hex() for v in (getattr(row, f) for f in ROW_FIELDS))
+
+
+def point_outcome(n_quanta, phi, eta_a, eta_b, which):
+    """What ``steering_functional`` gives at one point, in ``row_outcome`` form."""
+    try:
+        report = steering_functional(n_quanta, phi, LossChannel(eta_a, eta_b), which)
+    except NoonSteerError as exc:
+        return type(exc).__name__
+    return tuple(
+        v if isinstance(v, bool) else float(v).hex() for v in (getattr(report, f) for f in ROW_FIELDS)
+    )
+
+
+etas_with_repeats = st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=5, max_size=8)
+
+
+class TestBatchedSweep:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_quanta=st.integers(min_value=1, max_value=5),
+        which=st.sampled_from(["p", "x"]),
+        axis_a=etas_with_repeats,
+        axis_b=etas_with_repeats,
+        data=st.data(),
+    )
+    def test_rows_equal_steering_functional_bit_for_bit(self, n_quanta, which, axis_a, axis_b, data):
+        # at least 7 x 7 = 49 rows, so every slice spans two chunks
+        eta_a = data.draw(st.permutations([*axis_a, 1.0, axis_a[0]]))
+        eta_b = data.draw(st.permutations([*axis_b, 1.0, axis_b[-1]]))
+        phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
+        rows = sweep([n_quanta], phi, which, eta_a_values=eta_a, eta_b_values=eta_b)
+        assert len(rows) == len(eta_a) * len(eta_b) > steering.SWEEP_CHUNK
+        for row in rows:
+            assert row_outcome(row) == point_outcome(n_quanta, phi, row.eta_a, row.eta_b, which)
+
+    def test_mixed_errors_match_steering_functional(self):
+        # N = 2 at phi = 0 is nondiscriminating for P; lossy N = 6 is past the
+        # lossy commutator reduction; N = 17 is past the wavefunction order
+        phases = {1: 0.0, 2: 0.0, 6: math.pi / 2, 17: 0.0}
+        grid = [0.0, 0.6, 0.95, 1.0]
+        rows = sweep(sorted(phases), phases.get, "p", symmetric=grid)
+        got = {(r.n_quanta, r.eta_a): row_outcome(r) for r in rows}
+        want = {(n, eta): point_outcome(n, phases[n], eta, eta, "p") for n in phases for eta in grid}
+        assert got == want
+        errors = {(n, eta): outcome for (n, eta), outcome in want.items() if isinstance(outcome, str)}
+        assert errors[(2, 0.95)] == "NondiscriminatingPhase"
+        assert errors[(1, 0.0)] == errors[(6, 0.0)] == errors[(17, 0.0)] == "DegenerateChannel"
+        assert errors[(6, 0.6)] == errors[(17, 0.95)] == "UnsupportedOrder"
+        assert errors[(17, 1.0)] == "OutOfSupportedOrder"
+        assert (6, 1.0) not in errors and (1, 0.6) not in errors
+
+    def test_lossy_order_is_refused_before_any_quadrature(self):
+        # an unsupported lossy order is refused even where the wavefunction
+        # order is out of range too
+        with pytest.raises(UnsupportedOrder):
+            steering_functional(17, 0.0, LossChannel(0.9, 0.9), "p")
+        with pytest.raises(OutOfSupportedOrder):
+            steering_functional(17, 0.0, LOSSLESS, "p")
+
+    def test_negative_moment_propagates_like_steering_functional(self, monkeypatch):
+        bad = LossChannel(0.9, 0.9)
+        real = inferred.inferred_number_variance
+        monkeypatch.setattr(
+            inferred, "inferred_number_variance",
+            lambda n, channel: -1.0 if channel == bad else real(n, channel),
+        )
+        with pytest.raises(ValueError, match="var_number must be nonnegative"):
+            steering_functional(1, 0.0, bad, "p")
+        with pytest.raises(ValueError, match="var_number must be nonnegative"):
+            sweep([1], 0.0, "p", symmetric=[0.8, 0.9, 1.0])
+
+    def test_stalled_chunk_flags_only_its_stalled_row(self, monkeypatch):
+        grid = [round(0.8 + 0.005 * i, 3) for i in range(41)]
+        want = {eta: point_outcome(1, 0.0, eta, eta, "p") for eta in grid}
+        stalled = LossChannel(grid[35], grid[35])  # in the second chunk
+        real = inferred._moment_numerators
+        calls = []
+
+        def stalling(n_quanta, phi, channels, which, orders):
+            numerators = real(n_quanta, phi, channels, which, orders)
+            hit = [i for i, channel in enumerate(channels) if channel == stalled]
+            calls.append(len(channels))
+
+            def perturbed(x):
+                values, px = numerators(x)
+                values[-1][hit] += np.sin(1e5 * x * x)
+                return values, px
+
+            return perturbed
+
+        monkeypatch.setattr(inferred, "_moment_numerators", stalling)
+        monkeypatch.setattr(inferred, "integrate", functools.partial(quadrature.integrate, max_refinements=3))
+        rows = sweep([1], 0.0, "p", symmetric=grid)
+        # one call per chunk, then the failed chunk again one row at a time
+        assert calls == [32, 9] + [1] * 9
+        assert [(r.eta_a, r.error) for r in rows if r.error] == [(stalled.eta_a, "ConvergenceFailure")]
+        assert all(row_outcome(r) == want[r.eta_a] for r in rows if r.error is None)
 
 
 class TestProtocolRhs:
