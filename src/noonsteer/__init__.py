@@ -17,10 +17,7 @@ from .errors import (
 from .fock import (
     ModeOperator,
     TwoModeKet,
-    WavefunctionConvention,
-    commutator_check,
     hermite,
-    momentum_wavefunction,
     noon_state,
     operator_matrix,
     position_wavefunction,

@@ -193,6 +193,8 @@ def cmd_eval(config: RunConfig) -> int:
 
 
 def _grid_values(start: float, stop: float, step: float) -> list[float]:
+    if step == 0.0:
+        raise ValueError("grid step must be nonzero")
     count = int(round((stop - start) / step))
     return [round(start + i * step, 12) for i in range(count + 1)]
 

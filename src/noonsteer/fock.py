@@ -5,8 +5,9 @@ Conventions used throughout the package:
 * quadratures X = a + a† and P = (a - a†)/i, so [X, P] = 2i;
 * position eigenfunctions are the oscillator wavefunctions with the scale
   constant c fixed to 2, which makes x the eigenvalue of X;
-* momentum eigenfunctions pick up the phase (-i)^n relative to position,
-  the symmetric Fourier choice (any global phase cancels in moduli).
+* a rotated quadrature X_theta = cos(theta) X + sin(theta) P has the same
+  eigenfunctions with <theta; q|n> = e^{-i n theta} <q|n>, so every
+  quadrature is read in the X frame (P is theta = pi/2).
 """
 
 from __future__ import annotations
@@ -16,35 +17,45 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimTooSmall, OutOfSupportedOrder
+from .errors import DimTooSmall, OutOfSupportedOrder, UnsupportedOrder
 
 #: Highest wavefunction order with a verified overflow-free evaluation.
 SUPPORTED_WAVEFUNCTION_ORDER = 16
 
 _OPERATOR_KINDS = ("annihilate", "create", "number", "x", "p", "x_theta")
 
+#: Angle theta of each homodyne observable X_theta = cos(theta) X + sin(theta) P;
+#: the steering criterion "x" or "p" measures the quadrature named in capitals.
+OBSERVABLE_THETA = {
+    "X": 0.0,
+    "P": math.pi / 2.0,
+    "X_pi4": math.pi / 4.0,
+    "P_pi4": 3.0 * math.pi / 4.0,
+}
 
-@dataclass(frozen=True)
-class WavefunctionConvention:
-    """Fixed constants of the wavefunction normalization.
-
-    ``position_scale`` is the c constant of the oscillator wavefunctions and
-    is pinned to 2 so that position eigenvalues coincide with X eigenvalues;
-    no other scale is accepted, which rules out silent unit mismatches.
-    ``momentum_phase`` is the per-quantum phase of the momentum eigenfunction.
-    """
-
-    position_scale: float = 2.0
-    momentum_phase: complex = -1j
-
-    def __post_init__(self):
-        if self.position_scale != 2.0:
-            raise ValueError("position scale constant is fixed to 2")
-        if self.momentum_phase != -1j:
-            raise ValueError("momentum phase convention is fixed to (-i)^n")
+#: (N, criterion) -> {observable: c}: the combination sum_theta c X_theta^N on
+#: mode b whose conditional |mean|, averaged over the a-mode X outcome, is the
+#: criterion's commutator modulus. Dict order fixes the sampler's settings after
+#: the criterion quadrature, and so which RNG substream each one draws from.
+HOMODYNE_COMBINATIONS = {
+    (1, "p"): {"X": 1.0},
+    (1, "x"): {"P": 1.0},
+    (2, "p"): {"X_pi4": 2.0, "X": -1.0, "P": -1.0},
+    (2, "x"): {"X_pi4": 2.0, "X": -1.0, "P": -1.0},
+    (3, "p"): {"X_pi4": math.sqrt(2.0), "P_pi4": -math.sqrt(2.0), "X": -1.0},
+    (3, "x"): {"X_pi4": math.sqrt(2.0), "P_pi4": math.sqrt(2.0), "P": -1.0},
+}
 
 
-CONVENTION = WavefunctionConvention()
+def homodyne_combination(n_quanta: int, which: str) -> dict:
+    """The ``HOMODYNE_COMBINATIONS`` entry, or UnsupportedOrder outside it."""
+    try:
+        return HOMODYNE_COMBINATIONS[n_quanta, which.lower()]
+    except KeyError:
+        raise UnsupportedOrder(
+            f"the homodyne combination is defined only for N = 1..3 and criteria "
+            f"'x', 'p' (got N={n_quanta}, criterion {which!r})"
+        ) from None
 
 
 def hermite(n: int, y):
@@ -75,11 +86,6 @@ def position_wavefunction(n: int, x):
     norm = (2.0 * math.pi) ** (-0.25) / math.sqrt(2.0**n * math.factorial(n))
     out = norm * hermite(n, x / math.sqrt(2.0)) * np.exp(-0.25 * x * x)
     return out if np.ndim(out) else float(out)
-
-
-def momentum_wavefunction(n: int, p):
-    """Momentum wavefunction <p|n> = (-i)^n <x -> p|n> (complex-valued)."""
-    return (-1j) ** n * position_wavefunction(n, p)
 
 
 #: sqrt(2^n n!) for every supported order, the per-row divisor of the stack.
@@ -153,15 +159,6 @@ def noon_state(n_quanta: int, phi: float, dim: int | None = None) -> TwoModeKet:
     return TwoModeKet(dim=dim, amplitudes=amps)
 
 
-def embed(ket: TwoModeKet, dim: int) -> TwoModeKet:
-    """Embed a ket into a larger cutoff without touching any amplitude."""
-    if dim < ket.dim:
-        raise DimTooSmall("cannot embed into a smaller basis")
-    amps = np.zeros((dim, dim), dtype=complex)
-    amps[: ket.dim, : ket.dim] = ket.amplitudes
-    return TwoModeKet(dim=dim, amplitudes=amps)
-
-
 @dataclass(frozen=True)
 class ModeOperator:
     """Truncated single-mode operator matrix."""
@@ -205,26 +202,3 @@ def operator_matrix(kind: str, dim: int, theta: float | None = None) -> ModeOper
         p = (a - a.conj().T) / 1j
         mat = math.cos(theta) * x + math.sin(theta) * p
     return ModeOperator(kind=kind, dim=dim, matrix=mat, theta=theta)
-
-
-def commutator_check(n_power: int, dim: int) -> float:
-    """Max deviation of [n, P^N] from its normally-ordered reduction.
-
-    The reduction is i N (P^{N-1} X + (N-1) i P^{N-2}); truncation corrupts
-    the last rows/columns, so the comparison is restricted to the upper-left
-    (dim-N) x (dim-N) block.
-    """
-    if n_power < 1:
-        raise ValueError("power must be >= 1")
-    if dim < n_power + 10:
-        raise ValueError("dim must leave at least 10 rows of truncation headroom")
-    num = operator_matrix("number", dim).matrix
-    p = operator_matrix("p", dim).matrix
-    x = operator_matrix("x", dim).matrix
-    p_pow = np.linalg.matrix_power(p, n_power)
-    lhs = num @ p_pow - p_pow @ num
-    rhs = 1j * n_power * (np.linalg.matrix_power(p, n_power - 1) @ x)
-    if n_power >= 2:
-        rhs += 1j * n_power * (n_power - 1) * 1j * np.linalg.matrix_power(p, n_power - 2)
-    keep = dim - n_power
-    return float(np.max(np.abs(lhs[:keep, :keep] - rhs[:keep, :keep])))

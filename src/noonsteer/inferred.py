@@ -2,9 +2,10 @@
 
 Two independent routes live here:
 
-* the integral route: conditional moments written in terms of oscillator
-  wavefunctions and cached moment integrals R_n(j, k) = int q^n psi_j psi_k dq,
-  averaged over the a-mode outcome by adaptive quadrature;
+* the integral route: conditional moments of the lossy NOON state written
+  with oscillator wavefunctions and the exact Fock matrix elements
+  R_n(j, k) = <j|X^n|k> = int q^n psi_j psi_k dq, averaged over the a-mode
+  outcome by adaptive quadrature;
 * the matrix route (``density_*`` functions): the same quantities from an
   explicit two-mode density matrix, conditioned numerically and traced
   against truncated operator matrices.
@@ -15,25 +16,26 @@ the X quadrature on a infers every quadrature-power quantity on b.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermroots, hermval
 
 from .errors import UnsupportedOrder, ZeroProbabilityConditioning
-from .fock import operator_matrix, wavefunction_stack
+from .fock import OBSERVABLE_THETA, operator_matrix
 from .lossy import (
     CONDITIONING_FLOOR,
     LossChannel,
     TwoModeDensity,
+    _branch_profiles,
     binomial_ladder,
     conditioned_b_blocks,
     number_joint,
 )
 from .quadrature import integrate, integrate_abs
-
-_THETA = {"x": 0.0, "p": math.pi / 2.0}
 
 #: The lossy commutator reduction is only established for N up to this order.
 MAX_LOSSY_COMMUTATOR_ORDER = 5
@@ -41,7 +43,7 @@ MAX_LOSSY_COMMUTATOR_ORDER = 5
 
 def _norm_which(which: str) -> str:
     w = which.lower()
-    if w not in _THETA:
+    if w not in ("x", "p"):
         raise ValueError(f"criterion must be 'x' or 'p', got {which!r}")
     return w
 
@@ -66,29 +68,31 @@ class InferredMoments:
 
 @lru_cache(maxsize=None)
 def moment_integral(order: int, j: int, k: int) -> float:
-    """R_n(j, k) = int q^n <q|j><q|k> dq over the quadrature domain.
+    """R_n(j, k) = int q^n <q|j><q|k> dq, the (j, k) entry of X^n.
 
-    Exactly zero by parity when order + j + k is odd.
+    Exact: a cutoff above max(j, k) + n holds every path of n ladder steps
+    between |j> and |k>, and X has no negative entries to cancel. Exactly
+    zero when order + j + k is odd.
     """
-    if (order + j + k) % 2 == 1:
-        return 0.0
-
-    def integrand(q):
-        psi = wavefunction_stack(max(j, k), q)
-        return q**order * psi[j] * psi[k]
-
-    return integrate(integrand)
+    x = operator_matrix("x", max(j, k) + order + 2).matrix.real
+    return float(np.linalg.matrix_power(x, order)[j, k])
 
 
 @lru_cache(maxsize=None)
 def overlap_abs_integral(n_quanta: int) -> float:
-    """int |<x|0><x|N>| dx, the kernel of every commutator modulus."""
+    """int |<x|0><x|N>| dx, the kernel of every commutator modulus.
 
-    def integrand(x):
-        psi = wavefunction_stack(n_quanta, x)
-        return psi[0] * psi[n_quanta]
-
-    return integrate_abs(integrand)
+    With y = x / sqrt(2) the integrand is H_N(y) e^{-y^2} / sqrt(pi 2^N N!)
+    per unit y, and d/dy [H_{N-1}(y) e^{-y^2}] = -H_N(y) e^{-y^2}. So the
+    integral is the sum of |jumps| of that antiderivative between the roots
+    of H_N, where it is stationary, and 0 at either infinity.
+    """
+    if n_quanta < 1:
+        raise ValueError("overlap order must be >= 1")
+    roots = hermroots([0.0] * n_quanta + [1.0])
+    antiderivative = -hermval(roots, [0.0] * (n_quanta - 1) + [1.0]) * np.exp(-roots * roots)
+    jumps = np.diff(np.concatenate([[0.0], antiderivative, [0.0]]))
+    return float(np.sum(np.abs(jumps))) / math.sqrt(math.pi * 2.0**n_quanta * math.factorial(n_quanta))
 
 
 def _ladders(n_quanta: int, etas) -> np.ndarray:
@@ -100,27 +104,6 @@ def _channel_list(channel) -> list[LossChannel]:
     return [channel] if isinstance(channel, LossChannel) else list(channel)
 
 
-def _branch_profiles(n_quanta: int, ladder_a: np.ndarray, x: np.ndarray):
-    """Per-x ingredients shared by every conditional quantity.
-
-    ``ladder_a`` holds one a-mode ladder per channel, shape (C, N+1).
-    Returns (branch_a, psi0_sq, psi0_psiN, px): branch_a, the binomially
-    weighted a-ladder profile, and px, the outcome density, have shape
-    (C, len(x)); the two psi products are shared by every channel. The ladder
-    sum runs term by term, so each row's arithmetic is that of a one-channel
-    call.
-    """
-    psi = wavefunction_stack(n_quanta, x)
-    psi_sq = psi**2
-    branch_a = ladder_a[:, :1] * psi_sq[0]
-    for m in range(1, n_quanta + 1):
-        branch_a += ladder_a[:, m : m + 1] * psi_sq[m]
-    psi0_sq = psi_sq[0]
-    psi0_psin = psi[0] * psi[n_quanta]
-    px = 0.5 * (branch_a + psi0_sq)
-    return branch_a, psi0_sq, psi0_psin, px
-
-
 def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
     """Density of the a-mode X outcome. Independent of phi (kept for symmetry
     with the other conditional operations)."""
@@ -130,29 +113,46 @@ def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
     return px[0] if np.ndim(x) else float(px[0, 0])
 
 
-def _moment_numerators(n_quanta, phi, channels, which, orders):
-    """S_n(x) = 2 P(x) <Q^n>_x for each requested order, plus P(x).
+def operator_numerators(n_quanta: int, phi: float, channels, operators):
+    """x -> ([S_M(x) for each operator M], P(x)), each of shape (C, len(x)).
 
-    Builds the per-channel coefficients once and returns a function of x
-    giving ([S_n per order], px), each of shape (len(channels), len(x)).
+    S_M(x) = 2 P(x) <M_b>_x = branch_a M_00 + psi_0^2 sum_k ladder_b[k] M_kk
+    + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N. Each mode-b operator M comes
+    as the entries this form reads, (M_00, [M_kk for k = 0..N], M_N0).
     """
-    theta = _THETA[_norm_which(which)]
     ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
     damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
-    cross_coeff = 2.0 * damping * math.cos(n_quanta * theta - phi)
-    terms = []
-    for order in orders:
-        diag_b = sum(ladder_b[:, k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
-        cross = cross_coeff * moment_integral(order, 0, n_quanta)
-        terms.append((moment_integral(order, 0, 0), diag_b[:, None], cross[:, None]))
+    terms = [
+        (
+            m_00,
+            sum(ladder_b[:, k] * m_diag[k] for k in range(n_quanta + 1))[:, None],
+            (2.0 * damping * (cmath.exp(-1j * phi) * m_n0).real)[:, None],
+        )
+        for m_00, m_diag, m_n0 in operators
+    ]
 
     def numerators(x):
         branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
-        return [branch_a * r00 + psi0_sq * diag_b + cross * psi0_psin
-                for r00, diag_b, cross in terms], px
+        return [branch_a * m_00 + psi0_sq * diag_b + cross * psi0_psin
+                for m_00, diag_b, cross in terms], px
 
     return numerators
+
+
+def _moment_numerators(n_quanta, phi, channels, which, orders):
+    """``operator_numerators`` for M = (X_theta)^n, one per requested order n,
+    from the exact moment table: <j|X_theta^n|k> = e^{i (j - k) theta} R_n(j, k)."""
+    theta = OBSERVABLE_THETA[_norm_which(which).upper()]
+    operators = [
+        (
+            moment_integral(order, 0, 0),
+            [moment_integral(order, k, k) for k in range(n_quanta + 1)],
+            cmath.rect(moment_integral(order, 0, n_quanta), n_quanta * theta),
+        )
+        for order in orders
+    ]
+    return operator_numerators(n_quanta, phi, channels, operators)
 
 
 def conditional_quadrature_moment(

@@ -131,13 +131,24 @@ def lossy_noon_density(
     return TwoModeDensity(dim=dim, matrix=mat)
 
 
-def position_probability(n_quanta: int, channel: LossChannel, x) -> np.ndarray:
-    """Probability density of an X outcome on mode a (phase-independent)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _branch_profiles(n_quanta: int, ladder_a: np.ndarray, x: np.ndarray):
+    """The x-profiles of the mode-b block 2 <x|rho|x> of a lossy NOON state,
+    branch_a |0><0| + psi0_sq sum_k ladder_b[k] |k><k| + damping psi0_psiN
+    (e^{-i phi} |0><N| + h.c.), with psi_n = <x|n>.
+
+    ``ladder_a`` has one a-mode ladder per channel, shape (C, N+1). Returns
+    (branch_a, psi0_sq, psi0_psiN, px); branch_a and the outcome density px
+    have shape (C, len(x)), summed term by term so that a row's arithmetic is
+    that of a one-channel call.
+    """
     psi = wavefunction_stack(n_quanta, x)
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    branch_a = np.einsum("m,mx->x", ladder_a, psi**2)
-    return 0.5 * (branch_a + psi[0] ** 2)
+    psi0_psin = psi[0] * psi[n_quanta]
+    psi_sq = np.square(psi, out=psi)
+    branch_a = ladder_a[:, :1] * psi_sq[0]
+    for m in range(1, n_quanta + 1):
+        branch_a += ladder_a[:, m : m + 1] * psi_sq[m]
+    px = 0.5 * (branch_a + psi_sq[0])
+    return branch_a, psi_sq[0], psi0_psin, px
 
 
 def conditional_density_given_x(
@@ -154,18 +165,17 @@ def conditional_density_given_x(
         raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
     if not math.isfinite(x):
         raise ValueError("conditioning outcome must be finite")
-    px = float(position_probability(n_quanta, channel, x)[0])
+    ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
+    profiles = _branch_profiles(n_quanta, ladder_a, np.array([x]))
+    branch_a, psi0_sq, psi0_psin, px = (float(np.ravel(v)[0]) for v in profiles)
     if px < CONDITIONING_FLOOR:
         raise ZeroProbabilityConditioning(f"P(x={x}) = {px} below {CONDITIONING_FLOOR}")
-    psi = wavefunction_stack(n_quanta, np.array([x]))[:, 0]
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[0, 0] += float(np.dot(ladder_a, psi**2))
-    for k in range(n_quanta + 1):
-        mat[k, k] += ladder_b[k] * psi[0] ** 2
+    mat[0, 0] += branch_a
+    diag = np.arange(n_quanta + 1)
+    mat[diag, diag] += binomial_ladder(n_quanta, channel.eta_b) * psi0_sq
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    coherence = damping * psi[n_quanta] * psi[0]
+    coherence = damping * psi0_psin
     mat[0, n_quanta] += coherence * np.exp(-1j * phi)
     mat[n_quanta, 0] += coherence * np.exp(1j * phi)
     return OneModeDensity(dim=dim, matrix=mat / (2.0 * px))
@@ -207,16 +217,6 @@ def number_joint(rho: TwoModeDensity) -> np.ndarray:
     joint = np.diag(rho.matrix).real.reshape(rho.dim, rho.dim).copy()
     joint[np.abs(joint) < 1e-15] = 0.0
     return joint
-
-
-def partial_trace_b(rho: TwoModeDensity) -> OneModeDensity:
-    tensor = rho.as_tensor()
-    return OneModeDensity(dim=rho.dim, matrix=np.einsum("jklk->jl", tensor))
-
-
-def partial_trace_a(rho: TwoModeDensity) -> OneModeDensity:
-    tensor = rho.as_tensor()
-    return OneModeDensity(dim=rho.dim, matrix=np.einsum("jkjl->kl", tensor))
 
 
 def conditioned_b_blocks(rho: TwoModeDensity, x: np.ndarray):

@@ -114,7 +114,8 @@ def integrate(
 
 
 def _sign_change_points(f, domain, scan_points):
-    """Locate sign changes of f on the domain by scan + bisection."""
+    """Locate sign changes of f on the domain by scan + bisection, which stops
+    once the midpoint is no longer strictly inside: no step can move it then."""
     xs = np.linspace(domain[0], domain[1], scan_points)
     vals = np.asarray(f(xs), dtype=float)
     signs = np.sign(vals)
@@ -125,6 +126,8 @@ def _sign_change_points(f, domain, scan_points):
         flo = vals[i]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             fmid = float(f(np.array([mid]))[0])
             if fmid == 0.0:
                 lo = hi = mid

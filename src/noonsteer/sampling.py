@@ -21,22 +21,10 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import (
-    DegenerateChannel,
-    EnvelopeFailure,
-    InsufficientBinOccupancy,
-    UnsupportedOrder,
-)
-from .fock import wavefunction_stack
+from .errors import DegenerateChannel, EnvelopeFailure, InsufficientBinOccupancy
+from .fock import OBSERVABLE_THETA, homodyne_combination, wavefunction_stack
 from .inferred import px_density
-from .lossy import LossChannel, binomial_ladder
-
-OBSERVABLE_THETA = {
-    "X": 0.0,
-    "P": math.pi / 2.0,
-    "X_pi4": math.pi / 4.0,
-    "P_pi4": 3.0 * math.pi / 4.0,
-}
+from .lossy import LossChannel, _branch_profiles, binomial_ladder
 
 SETTING_NUMBER = "number-pair"
 
@@ -112,16 +100,12 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     f(q | x) = [c0 psi_0(q)^2 + sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q)]
     normalized by 2 P(x); the three coefficient groups depend on x only.
     """
-    psi = wavefunction_stack(n_quanta, x)
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
-    branch_a = np.einsum("m,mx->x", ladder_a, psi**2)
-    psi0_sq = psi[0] ** 2
+    ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
+    (branch_a,), psi0_sq, psi0_psin, (px,) = _branch_profiles(n_quanta, ladder_a, x)
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    coeff_diag = np.multiply.outer(ladder_b, psi0_sq)  # (N+1, nx)
+    coeff_diag = np.multiply.outer(binomial_ladder(n_quanta, channel.eta_b), psi0_sq)  # (N+1, nx)
     coeff_diag[0] += branch_a
-    coeff_cross = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi[0] * psi[n_quanta]
-    px = 0.5 * (branch_a + psi0_sq)  # px_density, from the same psi
+    coeff_cross = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
     return coeff_diag, coeff_cross, 2.0 * px
 
 
@@ -226,22 +210,8 @@ def _homodyne_settings(n_quanta: int, which: str):
     feeds the variance estimator); the ``combo`` maps settings to the
     coefficients of the per-bin commutator combination of q^N means.
     """
-    which = which.lower()
-    quad = "P" if which == "p" else "X"
-    if n_quanta == 1:
-        combo = {("X" if which == "p" else "P"): 1.0}
-    elif n_quanta == 2:
-        combo = {"X_pi4": 2.0, "X": -1.0, "P": -1.0}
-    elif n_quanta == 3:
-        if which == "p":
-            combo = {"X_pi4": math.sqrt(2.0), "P_pi4": -math.sqrt(2.0), "X": -1.0}
-        else:
-            combo = {"X_pi4": math.sqrt(2.0), "P_pi4": math.sqrt(2.0), "P": -1.0}
-    else:
-        raise UnsupportedOrder(
-            f"shot-level commutator estimation uses the homodyne combination, "
-            f"defined only for N <= 3 (got N={n_quanta})"
-        )
+    combo = homodyne_combination(n_quanta, which)
+    quad = which.upper()
     settings = [quad] + [s for s in combo if s != quad]
     return settings, combo
 
@@ -333,6 +303,8 @@ def estimate_steering(
     """
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0: nothing to estimate")
+    if shots < 1:
+        raise ValueError(f"sampling needs shots >= 1, got {shots}")
     if bins < 1 or not bin_range[0] < bin_range[1]:
         raise ValueError("binning needs bins >= 1 and bin_range[0] < bin_range[1]")
     which = which.lower()

@@ -23,17 +23,17 @@ from .errors import (
     NondiscriminatingPhase,
     NoonSteerError,
     NoThresholdInBracket,
-    UnsupportedOrder,
 )
-from .fock import operator_matrix, wavefunction_stack
+from .fock import OBSERVABLE_THETA, homodyne_combination, operator_matrix
 from .inferred import (
     check_commutator_order,
     commutator_phase_factor,
     compute_inferred_moments,
     inferred_commutator_modulus,
     inferred_variance_quadrature,
+    operator_numerators,
 )
-from .lossy import LossChannel, binomial_ladder, conditional_number_b, number_marginal_a
+from .lossy import LossChannel, conditional_number_b, number_marginal_a
 from .quadrature import integrate_abs
 
 #: Phase factors smaller than this count as an analytically zero denominator.
@@ -98,7 +98,10 @@ class CoherenceReport:
 
 
 def check_phase(n_quanta: int, phi: float, which: str):
-    """Raise NondiscriminatingPhase when the criterion denominator vanishes."""
+    """Raise NondiscriminatingPhase when the criterion denominator vanishes,
+    and ValueError for N < 1, where it vanishes at every phase."""
+    if n_quanta < 1:
+        raise ValueError(f"NOON order must be >= 1, got N={n_quanta}")
     if commutator_phase_factor(n_quanta, phi, which) < PHASE_TOLERANCE:
         form = "cos" if (which.lower() == "p" and n_quanta % 2 == 1) else "sin"
         raise NondiscriminatingPhase(
@@ -299,22 +302,15 @@ def _sweep_slice(n_quanta: int, phi: float, which: str, pairs) -> list:
 
 def protocol_combination(n_quanta: int, which: str, dim: int) -> np.ndarray:
     """The homodyne-measurable operator whose conditional |mean| equals the
-    commutator modulus, built from X, P, and the pi/4-rotated quadratures."""
-    which = which.lower()
-    x = operator_matrix("x", dim).matrix
-    p = operator_matrix("p", dim).matrix
-    x_pi4 = operator_matrix("x_theta", dim, theta=math.pi / 4).matrix
-    p_pi4 = operator_matrix("x_theta", dim, theta=3 * math.pi / 4).matrix
-    if n_quanta == 1:
-        return x if which == "p" else p
-    if n_quanta == 2:
-        return 2.0 * (x_pi4 @ x_pi4) - x @ x - p @ p
-    if n_quanta == 3:
-        cube = lambda m: m @ m @ m
-        if which == "p":
-            return math.sqrt(2.0) * (cube(x_pi4) - cube(p_pi4)) - cube(x)
-        return math.sqrt(2.0) * (cube(x_pi4) + cube(p_pi4)) - cube(p)
-    raise UnsupportedOrder(f"homodyne combination is constructed only for N <= 3, got {n_quanta}")
+    commutator modulus: sum c X_theta^N over ``homodyne_combination``, built
+    from X, P, and the pi/4-rotated quadratures."""
+    return sum(
+        coeff
+        * np.linalg.matrix_power(
+            operator_matrix("x_theta", dim, theta=OBSERVABLE_THETA[name]).matrix, n_quanta
+        )
+        for name, coeff in homodyne_combination(n_quanta, which).items()
+    )
 
 
 def protocol_rhs(
@@ -326,23 +322,13 @@ def protocol_rhs(
     is a valid bound for any state, not only the NOON family it is evaluated
     on here.
     """
-    if n_quanta > 3:
-        raise UnsupportedOrder(f"homodyne combination is constructed only for N <= 3, got {n_quanta}")
-    dim = n_quanta + 12
-    combo = protocol_combination(n_quanta, which, dim)
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    m_00 = complex(combo[0, 0]).real
-    m_diag = np.array([complex(combo[k, k]).real for k in range(n_quanta + 1)])
-    m_n0 = complex(combo[n_quanta, 0])
-    cross = 2.0 * damping * (np.exp(-1j * phi) * m_n0).real
+    combo = protocol_combination(n_quanta, which, n_quanta + 12)
+    entries = (combo[0, 0].real, combo.diagonal()[: n_quanta + 1].real, complex(combo[n_quanta, 0]))
+    numerators = operator_numerators(n_quanta, phi, [channel], [entries])
 
     def signed(x):
-        psi = wavefunction_stack(n_quanta, x)
-        branch_a = np.einsum("m,mx->x", ladder_a, psi**2)
-        diag_b = float(np.dot(ladder_b, m_diag))
-        return branch_a * m_00 + psi[0] ** 2 * diag_b + cross * psi[0] * psi[n_quanta]
+        (s,), _ = numerators(x)
+        return s[0]
 
     return 0.25 * integrate_abs(signed)
 

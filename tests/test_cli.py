@@ -43,6 +43,27 @@ class TestPhaseParsing:
         assert "phase" in err
 
 
+class TestRejectedInputs:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--step", "0"], "grid step must be nonzero"),
+            (["sample", "--shots", "0"], "shots >= 1"),
+            (["eval", "--n", "0", "--phi", "pi/2"], "N=0"),
+            (["eval", "--n", "0", "--phi", "0"], "N=0"),
+            (["threshold", "--n", "0", "--phi", "pi/2"], "N=0"),
+            (["sweep", "--n", "0", "--phi", "pi/2"], "N=0"),
+        ],
+        ids=["sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0"],
+    )
+    def test_exit_one_with_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+        assert message in err
+
+
 class TestRunConfig:
     def test_round_trip(self):
         config = RunConfig(

@@ -15,8 +15,11 @@ from noonsteer.inferred import (
     inferred_number_variance,
     inferred_variance_quadrature,
     moment_integral,
+    overlap_abs_integral,
     px_density,
 )
+from noonsteer.fock import wavefunction_stack
+from noonsteer.quadrature import integrate_abs
 from noonsteer.lossy import (
     LOSSLESS,
     LossChannel,
@@ -38,12 +41,33 @@ class TestMomentIntegrals:
         assert moment_integral(3, 0, 2) == 0.0
 
     def test_matches_operator_elements(self):
-        from noonsteer.fock import operator_matrix
+        # reference: int q^n psi_j psi_k dq by a fixed 20-point Gauss-Legendre
+        # rule on 80 panels over [-20, 20], wide enough for q^32 e^{-q^2/2}
+        base_x, base_w = np.polynomial.legendre.leggauss(20)
+        edges = np.linspace(-20.0, 20.0, 81)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+        q = (mid[:, None] + half[:, None] * base_x).ravel()
+        w = (half[:, None] * base_w).ravel()
+        psi = wavefunction_stack(8, q)
+        for order in range(17):
+            weighted = q**order * w
+            ref = np.einsum("x,jx,kx->jk", weighted, psi, psi)
+            scale = np.einsum("x,jx,kx->jk", np.abs(weighted), np.abs(psi), np.abs(psi))
+            got = np.array([[moment_integral(order, j, k) for k in range(9)] for j in range(9)])
+            nonzero = got != 0.0
+            np.testing.assert_allclose(got[nonzero], ref[nonzero], rtol=1e-12, atol=0)
+            # entries with no ladder path between |j> and |k> are exactly zero
+            assert np.all(np.abs(ref[~nonzero]) <= 1e-13 * scale[~nonzero])
 
-        x = operator_matrix("x", 14).matrix
-        for order, j, k in [(1, 0, 1), (2, 0, 0), (2, 2, 2), (4, 1, 1), (3, 0, 3), (6, 3, 3)]:
-            elem = float(np.linalg.matrix_power(x, order)[j, k].real)
-            assert moment_integral(order, j, k) == pytest.approx(elem, abs=1e-10)
+
+class TestOverlapAbsIntegral:
+    @pytest.mark.parametrize("n_quanta", range(1, 9))
+    def test_matches_sign_split_quadrature(self, n_quanta):
+        def overlap(x):
+            psi = wavefunction_stack(n_quanta, x)
+            return psi[0] * psi[n_quanta]
+
+        assert overlap_abs_integral(n_quanta) == pytest.approx(integrate_abs(overlap), rel=1e-12)
 
 
 class TestPxDensity:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noonsteer.errors import DimTooSmall, InvalidOutcome, ZeroProbabilityConditioning
 from noonsteer.fock import noon_state, operator_matrix, position_wavefunction
+from noonsteer.inferred import px_density
 from noonsteer.lossy import (
     LOSSLESS,
     LossChannel,
@@ -16,9 +17,6 @@ from noonsteer.lossy import (
     lossy_noon_density,
     number_joint,
     number_marginal_a,
-    partial_trace_a,
-    partial_trace_b,
-    position_probability,
     pure_density,
 )
 
@@ -69,28 +67,20 @@ class TestLossyDensity:
     def test_partial_trace_matches_number_marginal(self):
         channel = LossChannel(0.6, 0.85)
         rho = lossy_noon_density(3, 0.3, channel, dim=6)
-        reduced = partial_trace_b(rho)
         marginal = number_marginal_a(3, channel)
-        np.testing.assert_allclose(np.diag(reduced.matrix).real[:4], marginal, atol=1e-12)
-
-    def test_partial_trace_b_side(self):
-        channel = LossChannel(0.6, 0.85)
-        rho = lossy_noon_density(2, 0.0, channel, dim=5)
-        reduced = partial_trace_a(rho)
-        joint = number_joint(rho)
-        np.testing.assert_allclose(np.diag(reduced.matrix).real, joint.sum(axis=0), atol=1e-13)
+        np.testing.assert_allclose(number_joint(rho).sum(axis=1)[:4], marginal, atol=1e-12)
 
 
 class TestPositionProbability:
     @pytest.mark.parametrize("n_quanta", [1, 2, 3, 4, 5])
     def test_normalized(self, n_quanta):
         xs = np.linspace(-12, 12, 100_001)
-        dens = position_probability(n_quanta, LossChannel(0.8, 0.6), xs)
+        dens = px_density(n_quanta, 0.0, LossChannel(0.8, 0.6), xs)
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-8)
 
     def test_lossless_closed_form(self):
         xs = np.linspace(-6, 6, 101)
-        dens = position_probability(2, LOSSLESS, xs)
+        dens = px_density(2, 0.0, LOSSLESS, xs)
         expected = 0.5 * (position_wavefunction(0, xs) ** 2 + position_wavefunction(2, xs) ** 2)
         np.testing.assert_allclose(dens, expected, atol=1e-14)
 

@@ -123,6 +123,59 @@ class TestVectorIntegrate:
         assert [v.hex() for v in batch.tolist()] == [integrate(f).hex() for f in rows]
 
 
+def sign_change_points_reference(f, domain, scan_points):
+    """The fixed 80-step bisection, with no early stop."""
+    xs = np.linspace(domain[0], domain[1], scan_points)
+    vals = np.asarray(f(xs), dtype=float)
+    signs = np.sign(vals)
+    cuts = list(xs[signs == 0.0])
+    idx = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    for i in idx:
+        lo, hi = xs[i], xs[i + 1]
+        flo = vals[i]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fmid = float(f(np.array([mid]))[0])
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (flo < 0) == (fmid < 0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return sorted(set(cuts))
+
+
+class TestSignChangePoints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        roots=st.lists(st.floats(-6.0, 6.0), min_size=0, max_size=5),
+        scan_roots=st.lists(st.integers(-512, 512), max_size=2),
+        scale=st.floats(1e-6, 1e6),
+        width=st.floats(0.5, 3.0),
+    )
+    def test_early_stop_keeps_the_cuts(self, roots, scan_roots, scale, width):
+        # scan_roots put zeros exactly on the 2049-point scan grid (step 3/256)
+        roots = roots + [k * 3.0 / 256.0 for k in scan_roots]
+        calls = {"stop": 0, "full": 0}
+
+        def counted(key):
+            def f(x):
+                calls[key] += 1
+                poly = np.ones_like(x)
+                for r in roots:
+                    poly = poly * (x - r)
+                return scale * poly * np.exp(-x * x / (2.0 * width * width))
+
+            return f
+
+        got = quadrature._sign_change_points(counted("stop"), (-12.0, 12.0), 2049)
+        want = sign_change_points_reference(counted("full"), (-12.0, 12.0), 2049)
+        assert got == want
+        assert calls["stop"] <= calls["full"]
+
+
 class TestIntegrateAbs:
     def test_abs_linear_gaussian(self):
         # int |x| e^{-x^2/2} dx = 2

@@ -12,6 +12,7 @@ from noonsteer.sampling import (
     MIN_BIN_OCCUPANCY,
     SETTING_NUMBER,
     _binned_power_sums,
+    _homodyne_settings,
     _merged_partition,
     _write_shot_log,
     envelope_acceptance_audit,
@@ -180,6 +181,27 @@ class TestEstimator:
             hits["c"] += abs(est.commutator_modulus.value - analytic_c) < 4 * est.commutator_modulus.stderr
         for name, count in hits.items():
             assert count >= 38, f"{name}: only {count}/40 within 4 sigma"
+
+
+class TestHomodyneSettings:
+    # the setting order assigns each setting its RNG substream
+    @pytest.mark.parametrize(
+        "n_quanta,which,settings,combo",
+        [
+            (1, "p", ["P", "X"], {"X": 1.0}),
+            (1, "x", ["X", "P"], {"P": 1.0}),
+            (2, "p", ["P", "X_pi4", "X"], {"X_pi4": 2.0, "X": -1.0, "P": -1.0}),
+            (2, "x", ["X", "X_pi4", "P"], {"X_pi4": 2.0, "X": -1.0, "P": -1.0}),
+            (3, "p", ["P", "X_pi4", "P_pi4", "X"],
+             {"X_pi4": math.sqrt(2.0), "P_pi4": -math.sqrt(2.0), "X": -1.0}),
+            (3, "x", ["X", "X_pi4", "P_pi4", "P"],
+             {"X_pi4": math.sqrt(2.0), "P_pi4": math.sqrt(2.0), "P": -1.0}),
+        ],
+    )
+    def test_settings_and_coefficients(self, n_quanta, which, settings, combo):
+        got_settings, got_combo = _homodyne_settings(n_quanta, which)
+        assert got_settings == settings
+        assert list(got_combo.items()) == list(combo.items())
 
 
 def bin_moments_reference(x, y, edges):

@@ -28,6 +28,7 @@ from noonsteer.steering import (
     caption_phase,
     coherence_inequality,
     e1p_closed_form,
+    protocol_combination,
     protocol_rhs,
     steering_functional,
     sweep,
@@ -277,6 +278,35 @@ class TestBatchedSweep:
         assert all(row_outcome(r) == want[r.eta_a] for r in rows if r.error is None)
 
 
+def explicit_combination(n_quanta, which, dim):
+    """The homodyne combinations written out in X, P, X_pi/4 and P_pi/4."""
+    x = operator_matrix("x", dim).matrix
+    p = operator_matrix("p", dim).matrix
+    x_pi4 = operator_matrix("x_theta", dim, theta=math.pi / 4).matrix
+    p_pi4 = operator_matrix("x_theta", dim, theta=3 * math.pi / 4).matrix
+    if n_quanta == 1:
+        return x if which == "p" else p
+    if n_quanta == 2:
+        return 2.0 * (x_pi4 @ x_pi4) - x @ x - p @ p
+    cube = lambda m: m @ m @ m
+    if which == "p":
+        return math.sqrt(2.0) * (cube(x_pi4) - cube(p_pi4)) - cube(x)
+    return math.sqrt(2.0) * (cube(x_pi4) + cube(p_pi4)) - cube(p)
+
+
+class TestProtocolCombination:
+    @pytest.mark.parametrize("which", ["p", "x"])
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3])
+    def test_matches_explicit_quadrature_form(self, n_quanta, which):
+        dim = n_quanta + 12
+        np.testing.assert_allclose(
+            protocol_combination(n_quanta, which, dim),
+            explicit_combination(n_quanta, which, dim),
+            rtol=0,
+            atol=1e-12,
+        )
+
+
 class TestProtocolRhs:
     @pytest.mark.parametrize("n_quanta", [1, 2, 3])
     def test_equivalence_with_commutator(self, n_quanta):
@@ -303,8 +333,9 @@ class TestProtocolRhs:
         assert abs(rhs - modulus / 2.0) < 1e-6
 
     def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            protocol_rhs(4, math.pi / 2, LOSSLESS, "p")
+        for n_quanta in (0, 4):
+            with pytest.raises(UnsupportedOrder):
+                protocol_rhs(n_quanta, math.pi / 2, LOSSLESS, "p")
 
 
 class TestCoherenceInequality:
