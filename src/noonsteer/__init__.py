@@ -4,7 +4,6 @@ from .errors import (
     ConvergenceFailure,
     DegenerateChannel,
     DimTooSmall,
-    EnvelopeFailure,
     InsufficientBinOccupancy,
     InvalidOutcome,
     NondiscriminatingPhase,

@@ -48,9 +48,5 @@ class UnsupportedOrder(NoonSteerError):
     """Requested N beyond the range the construction is defined for."""
 
 
-class EnvelopeFailure(NoonSteerError):
-    """Rejection-sampling acceptance collapsed; envelope constant is wrong."""
-
-
 class InsufficientBinOccupancy(NoonSteerError):
     """Too few shots per conditioning bin even after neighbor merging."""

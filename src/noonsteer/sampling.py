@@ -3,9 +3,12 @@
 Number pairs are drawn from the loss-model joint distribution; homodyne
 shots draw the a-mode X outcome by inverse CDF from a precomputed monotone
 table, then the b-mode quadrature from the conditional density by rejection
-against a Gaussian envelope. Conditioning on the continuous outcome is done
-by binning, which the analytic pipeline never needs - that makes the sampler
-an independent statistical oracle for every inferred quantity.
+against a Gaussian envelope scaled by a per-shot bound proven from exact
+wavefunction peaks, so every proposal is accepted with probability at least
+1 / (2 max_k M_k) (see ``sample_quadrature_pair``). Conditioning on the
+continuous outcome is done by binning, which the analytic pipeline never
+needs - that makes the sampler an independent statistical oracle for every
+inferred quantity.
 
 All estimators follow the analytic definitions: variances are occupancy-
 weighted within-bin variances, and the modulus is applied to the per-bin
@@ -20,8 +23,9 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
+from numpy.polynomial.hermite import Hermite
 
-from .errors import DegenerateChannel, EnvelopeFailure, InsufficientBinOccupancy
+from .errors import DegenerateChannel, InsufficientBinOccupancy
 from .fock import OBSERVABLE_THETA, homodyne_combination, wavefunction_stack
 from .inferred import px_density
 from .lossy import LossChannel, _branch_profiles, binomial_ladder
@@ -31,8 +35,6 @@ SETTING_NUMBER = "number-pair"
 X_TABLE_NODES = 4096
 X_RANGE = (-8.0, 8.0)
 MIN_BIN_OCCUPANCY = 20
-ENVELOPE_SAFETY = 1.2
-MIN_ACCEPTANCE = 1e-4
 
 
 def setting_label(name: str) -> str:
@@ -94,47 +96,38 @@ def _draw_x(n_quanta, channel, rng, size):
     return np.interp(rng.random(size), cdf, xs)
 
 
-def _conditional_profile(n_quanta, phi, channel, theta, x):
-    """Per-shot coefficients of the conditional quadrature density.
+@lru_cache(maxsize=None)
+def _envelope_peaks(n_quanta):
+    """(M, sigma): M_k = sup_q psi_k(q)^2 / g(q), k = 0..N, for g the N(0, sigma^2)
+    density with sigma = sqrt(2 (N + 1)). With y = q / sqrt(2) the ratio is
+    sigma H_k(y)^2 e^{-a y^2} / (2^k k!), a = 1 - 1 / sigma^2, which peaks at
+    one of the k + 1 real roots of H_k' - a y H_k.
+    """
+    sigma = math.sqrt(2.0 * (n_quanta + 1.0))
+    a = 1.0 - 1.0 / sigma**2
+    peaks = np.empty(n_quanta + 1)
+    for k in range(n_quanta + 1):
+        h_k = Hermite.basis(k)
+        y = (h_k.deriv() - a * Hermite([0.0, 0.5]) * h_k).roots().real
+        peaks[k] = sigma * np.max(h_k(y) ** 2 * np.exp(-a * y * y)) / (2.0**k * math.factorial(k))
+    return peaks, sigma
 
-    f(q | x) = [c0 psi_0(q)^2 + sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q)]
-    normalized by 2 P(x); the three coefficient groups depend on x only.
+
+def _conditional_profile(n_quanta, phi, channel, theta, x):
+    """Per-shot coefficients of the unnormalized conditional density
+    raw(q) = sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q), which integrates to
+    2 P(x), and its bound sum_k ck M_k + |cx| sqrt(M_0 M_N) (``_envelope_peaks``):
+    as |psi_0 psi_N| / g <= sqrt(M_0 M_N), raw <= bound g at every q.
     """
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
-    (branch_a,), psi0_sq, psi0_psin, (px,) = _branch_profiles(n_quanta, ladder_a, x)
+    (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
     coeff_diag = np.multiply.outer(binomial_ladder(n_quanta, channel.eta_b), psi0_sq)  # (N+1, nx)
     coeff_diag[0] += branch_a
     coeff_cross = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
-    return coeff_diag, coeff_cross, 2.0 * px
-
-
-def _conditional_density(n_quanta, coeff_diag, coeff_cross, norm, q):
-    psi_q = wavefunction_stack(n_quanta, q)
-    cross = coeff_cross * psi_q[0] * psi_q[n_quanta]
-    dens = np.einsum("kx,kx->x", coeff_diag, np.square(psi_q, out=psi_q))
-    dens += cross
-    np.maximum(dens, 0.0, out=dens)
-    dens /= norm
-    return dens
-
-
-@lru_cache(maxsize=None)
-def _envelope_constant(n_quanta, phi, channel_key, theta):
-    """Envelope scale from a coarse scan of density/envelope ratios."""
-    channel = LossChannel(*channel_key)
-    sigma = math.sqrt(2.0 * (n_quanta + 1.0))
-    x_scan = np.linspace(X_RANGE[0], X_RANGE[1], 81)
-    q_scan = np.linspace(-5.0 * sigma, 5.0 * sigma, 161)
-    coeff_diag, coeff_cross, norm = _conditional_profile(n_quanta, phi, channel, theta, x_scan)
-    ratio_max = 0.0
-    envelope = np.exp(-0.5 * (q_scan / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    for i, q in enumerate(q_scan):
-        dens = _conditional_density(
-            n_quanta, coeff_diag, coeff_cross, norm, np.full_like(x_scan, q)
-        )
-        ratio_max = max(ratio_max, float(np.max(dens / envelope[i])))
-    return ENVELOPE_SAFETY * ratio_max, sigma
+    peaks, _ = _envelope_peaks(n_quanta)
+    bound = peaks @ coeff_diag + math.sqrt(peaks[0] * peaks[n_quanta]) * np.abs(coeff_cross)
+    return coeff_diag, coeff_cross, bound
 
 
 def sample_quadrature_pair(
@@ -145,62 +138,39 @@ def sample_quadrature_pair(
     rng: np.random.Generator,
     size: int = 1,
 ):
-    """(x_a, q_b) pairs: inverse-CDF x draw, then rejection-sampled q."""
+    """(x_a, q_b) pairs: inverse-CDF x draw, then rejection-sampled q.
+
+    A proposal q ~ g = N(0, sigma^2) is accepted when u bound(x) g(q) <= raw(q)
+    (``_conditional_profile``), with probability 2 P(x) / bound(x). As the
+    conditional block is positive, |cx| <= c0 + cN, so that probability is at
+    least 1 / (2 max_k M_k) (about 0.17 at N = 3) and the loop always ends.
+    """
     if observable not in OBSERVABLE_THETA:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_THETA)}")
     theta = OBSERVABLE_THETA[observable]
     x = _draw_x(n_quanta, channel, rng, size)
-    coeff_diag, coeff_cross, norm = _conditional_profile(n_quanta, phi, channel, theta, x)
-    scale, sigma = _envelope_constant(
-        n_quanta, phi, (channel.eta_a, channel.eta_b), theta
-    )
+    coeff_diag, coeff_cross, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
+    _, sigma = _envelope_peaks(n_quanta)
     q = np.empty(size)
-    # shots still waiting for an accepted q, and their density coefficients,
+    # shots still waiting for an accepted q, their coefficients and bounds,
     # compacted after every round
     pending = np.arange(size)
-    proposals = 0
-    accepted = 0
     while pending.size:
         prop = rng.normal(0.0, sigma, size=pending.size)
         envelope = np.exp(-0.5 * (prop / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        dens = _conditional_density(n_quanta, coeff_diag, coeff_cross, norm, prop)
-        keep = rng.random(pending.size) * scale * envelope <= dens
+        psi = wavefunction_stack(n_quanta, prop)
+        raw = coeff_cross * psi[0] * psi[n_quanta]
+        raw += np.einsum("kx,kx->x", coeff_diag, np.square(psi, out=psi))
+        del psi  # free the stack before the compaction below copies coeff_diag
+        keep = rng.random(pending.size) * bound * envelope <= raw
         hits = np.flatnonzero(keep)
         q[pending[hits]] = prop[hits]
-        proposals += pending.size
-        accepted += hits.size
         misses = np.flatnonzero(~keep)
         pending = pending[misses]
         coeff_diag = coeff_diag.take(misses, axis=1)
         coeff_cross = coeff_cross[misses]
-        norm = norm[misses]
-        if proposals >= 10_000 and accepted < MIN_ACCEPTANCE * proposals:
-            raise EnvelopeFailure(
-                f"acceptance {accepted / proposals:.2e} below {MIN_ACCEPTANCE}; "
-                "envelope constant is wrong for this configuration"
-            )
+        bound = bound[misses]
     return x, q
-
-
-def envelope_acceptance_audit(
-    n_quanta: int,
-    phi: float,
-    channel: LossChannel,
-    observable: str,
-    rng: np.random.Generator,
-    proposals: int = 200_000,
-) -> float:
-    """Measured acceptance times envelope constant; 1 iff the conditional
-    density is normalized (both densities integrate to one)."""
-    theta = OBSERVABLE_THETA[observable]
-    x = _draw_x(n_quanta, channel, rng, proposals)
-    coeff_diag, coeff_cross, norm = _conditional_profile(n_quanta, phi, channel, theta, x)
-    scale, sigma = _envelope_constant(n_quanta, phi, (channel.eta_a, channel.eta_b), theta)
-    prop = rng.normal(0.0, sigma, size=proposals)
-    envelope = np.exp(-0.5 * (prop / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-    dens = _conditional_density(n_quanta, coeff_diag, coeff_cross, norm, prop)
-    accepted = int(np.sum(rng.random(proposals) * scale * envelope <= dens))
-    return scale * accepted / proposals
 
 
 def _homodyne_settings(n_quanta: int, which: str):

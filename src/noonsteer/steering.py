@@ -184,7 +184,7 @@ def threshold_efficiency(
 
     Requires E < 1 at the high end of the bracket and E >= 1 at the low end,
     and asserts empirically that E is monotone on the bracket before
-    bisecting.
+    bisecting down to ``width`` or to the bracket's float spacing.
     """
     if mode != "symmetric" and fixed_value is None:
         raise ValueError(f"mode {mode!r} needs a fixed efficiency value")
@@ -204,6 +204,8 @@ def threshold_efficiency(
         raise NoThresholdInBracket("E is not monotone on the bracket; refusing to bisect")
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if e_at(mid) >= 1.0:
             lo = mid
         else:

@@ -4,18 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noonsteer.errors import EnvelopeFailure, InsufficientBinOccupancy
+from noonsteer.errors import InsufficientBinOccupancy
+from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
 from noonsteer.inferred import px_density
 from noonsteer.lossy import LOSSLESS, LossChannel
 from noonsteer.sampling import (
     MIN_BIN_OCCUPANCY,
     SETTING_NUMBER,
     _binned_power_sums,
+    _conditional_profile,
+    _draw_x,
+    _envelope_peaks,
     _homodyne_settings,
     _merged_partition,
     _write_shot_log,
-    envelope_acceptance_audit,
     estimate_steering,
     sample_number_pair,
     sample_quadrature_pair,
@@ -66,20 +71,6 @@ class TestQuadratureSampling:
         expected = 27.0 - (11.0 / 3.0) ** 2
         assert abs(sample_var - expected) < 0.05 * expected
 
-    def test_acceptance_normalization_audit(self):
-        audit = envelope_acceptance_audit(2, math.pi / 2, LOSSLESS, "P", rng(6))
-        assert abs(audit - 1.0) < 0.01
-
-    def test_envelope_failure_on_bad_constant(self, monkeypatch):
-        from noonsteer import sampling as mod
-
-        def absurd(*args):
-            return 1e7, math.sqrt(2.0 * (1 + 1))
-
-        monkeypatch.setattr(mod, "_envelope_constant", absurd)
-        with pytest.raises(EnvelopeFailure):
-            sample_quadrature_pair(1, 0.0, LOSSLESS, "P", rng(7), 5_000)
-
     def test_rotated_observable_moments(self):
         # mean of X_pi4^2 relates the three second moments measurably
         _, q_x = sample_quadrature_pair(2, math.pi / 2, LOSSLESS, "X", rng(8), 200_000)
@@ -88,6 +79,84 @@ class TestQuadratureSampling:
         lhs = np.mean(q_r**2)
         rhs = 0.5 * (np.mean(q_x**2) + np.mean(q_p**2))  # <XP+PX> = 0 unconditionally
         assert abs(lhs - rhs) < 0.05
+
+
+def gaussian(q, sigma):
+    return np.exp(-0.5 * (q / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+
+
+def raw_density(n_quanta, coeff_diag, coeff_cross, q):
+    """sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q), one column of coefficients per q."""
+    psi = wavefunction_stack(n_quanta, q)
+    return np.einsum("kx,kx->x", coeff_diag, psi**2) + coeff_cross * psi[0] * psi[n_quanta]
+
+
+channels = st.one_of(
+    st.just(LOSSLESS), st.builds(LossChannel, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+)
+
+
+class TestEnvelopeBound:
+    @pytest.mark.parametrize("n_quanta", range(1, 17))
+    def test_peaks_match_dense_scan(self, n_quanta):
+        peaks, sigma = _envelope_peaks(n_quanta)
+        q = np.linspace(-8.0 * sigma, 8.0 * sigma, 200_001)
+        scanned = np.max(wavefunction_stack(n_quanta, q) ** 2 / gaussian(q, sigma), axis=1)
+        assert np.all(scanned <= peaks * (1.0 + 1e-12))
+        assert np.all(scanned >= peaks * (1.0 - 1e-6))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_quanta=st.integers(1, 3),
+        observable=st.sampled_from(sorted(OBSERVABLE_THETA)),
+        phi=st.floats(-math.pi, math.pi),
+        channel=channels,
+        x=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=16),
+        u=st.lists(st.floats(-8.0, 8.0), min_size=16, max_size=16),
+    )
+    def test_density_under_bound(self, n_quanta, observable, phi, channel, x, u):
+        # every q (in units of sigma) against every x
+        _, sigma = _envelope_peaks(n_quanta)
+        x_grid, q_grid = (v.ravel() for v in np.meshgrid(x, sigma * np.array(u)))
+        coeff_diag, coeff_cross, bound = _conditional_profile(
+            n_quanta, phi, channel, OBSERVABLE_THETA[observable], x_grid
+        )
+        raw = raw_density(n_quanta, coeff_diag, coeff_cross, q_grid)
+        assert np.all(raw <= bound * gaussian(q_grid, sigma) * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "n_quanta,phi,channel,observable,seed",
+        [
+            (1, 0.0, LossChannel(0.95, 0.93), "P", 61),
+            (2, math.pi / 2, LOSSLESS, "P", 62),
+            (3, 0.0, LossChannel(0.7, 0.9), "X_pi4", 63),
+        ],
+    )
+    def test_acceptance_times_bound_is_normalized(self, n_quanta, phi, channel, observable, seed):
+        # E[accept] = 2 P(x) / bound(x) iff raw <= bound g and raw integrates to 2 P(x)
+        gen, proposals = rng(seed), 200_000
+        x = _draw_x(n_quanta, channel, gen, proposals)
+        coeff_diag, coeff_cross, bound = _conditional_profile(
+            n_quanta, phi, channel, OBSERVABLE_THETA[observable], x
+        )
+        _, sigma = _envelope_peaks(n_quanta)
+        q = gen.normal(0.0, sigma, proposals)
+        accept = gen.random(proposals) * bound * gaussian(q, sigma) <= raw_density(
+            n_quanta, coeff_diag, coeff_cross, q
+        )
+        two_px = 2.0 * px_density(n_quanta, phi, channel, x)
+        assert abs(float(np.mean(accept * bound / two_px)) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3])
+    def test_acceptance_floor(self, n_quanta):
+        peaks, _ = _envelope_peaks(n_quanta)
+        x = np.linspace(-8.0, 8.0, 4001)
+        for channel in (LOSSLESS, LossChannel(0.95, 0.93), LossChannel(0.3, 0.6), LossChannel(1.0, 0.0)):
+            for theta in OBSERVABLE_THETA.values():
+                for phi in (0.0, 1.0, math.pi / 2):
+                    _, _, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
+                    two_px = 2.0 * px_density(n_quanta, phi, channel, x)
+                    assert np.all(two_px / bound >= (1.0 - 1e-12) / (2.0 * peaks.max()))
 
 
 class TestEstimator:
@@ -265,31 +334,34 @@ class TestShotLogValidation:
 #: estimate_steering(N, phi, LossChannel(0.95, 0.93), "p", shots, bins=128,
 #: seed) -> (merged bins, e_hat, stderr, var_number value and stderr,
 #: var_quadrature_n value and stderr, commutator_modulus value and stderr),
-#: recorded bit for bit from the two-pass binning sampler (numpy 2.4 on an
-#: x86-64 CPU with AVX-512, where numpy's exp and pow take SIMD kernels whose
-#: last bits differ from libm's). A change to the random stream (draw order,
-#: sizes or envelope) must re-record these.
+#: recorded bit for bit (numpy 2.4 on an x86-64 CPU with AVX-512, where
+#: numpy's exp and pow take SIMD kernels whose last bits differ from libm's).
+#: The q-derived values were re-recorded when the per-shot envelope bound
+#: replaced the scanned envelope constant; the merged bin counts, the
+#: var_number fields and every x outcome of the shot log did not move. A
+#: change to the random stream (draw order, sizes or envelope) must
+#: re-record these.
 RECORDED_ESTIMATES = {
     (1, 0.0, 30_000, 101): (53, (
-        "0x1.c304cf8cde106p-1", "0x1.10a96cf3cfd30p-5", "0x1.cd4d6eb30d7f8p-5",
-        "0x1.ec35ec6d5c7ebp-10", "0x1.e8ac3bf6f5b0dp+0", "0x1.5f345f2e2d1cep-6",
-        "0x1.7d1ed83be25dbp-1", "0x1.7a028fb095cf1p-7",
+        "0x1.b52b5f8bcdb66p-1", "0x1.0390156117075p-5", "0x1.cd4d6eb30d7f8p-5",
+        "0x1.ec35ec6d5c7ebp-10", "0x1.e93273f799351p+0", "0x1.5ad76d04ce591p-6",
+        "0x1.8967b57e96315p-1", "0x1.7716541d84aacp-7",
     )),
     (2, math.pi / 2, 40_003, 202): (61, (
-        "0x1.ca529d4cce52ap-1", "0x1.0b7aa31280834p-4", "0x1.1ee035d42ed5fp-4",
-        "0x1.6bb8588f91ed4p-9", "0x1.425d67f51cbd3p+3", "0x1.c0c82f8dbbe2ep-3",
-        "0x1.e06f4b33819afp+0", "0x1.44e17901957e2p-4",
+        "0x1.e8e7299ad6822p-1", "0x1.2d3c7a04986c4p-4", "0x1.1ee035d42ed5fp-4",
+        "0x1.6bb8588f91ed4p-9", "0x1.3b01b3bb98f76p+3", "0x1.e07d069f4f2fep-3",
+        "0x1.bd36dc9fd887ep+0", "0x1.42a1428b4c131p-4",
     )),
     (3, 0.0, 50_000, 303): (69, (
-        "0x1.8d80c07050c5ap+1", "0x1.ba17e2b21a6efp-2", "0x1.a448972841ed3p-4",
-        "0x1.d17ccbd32153bp-9", "0x1.abf61bbf8ad50p+8", "0x1.74bfc0843e9dfp+3",
-        "0x1.1121e020380bbp+2", "0x1.d871066129797p-2",
+        "0x1.65ac5b0177f15p+1", "0x1.6e37f4b4741c0p-2", "0x1.a448972841ed3p-4",
+        "0x1.d17ccbd32153bp-9", "0x1.aeb7a25b28f9dp+8", "0x1.a14c779c00293p+3",
+        "0x1.3086061290d24p+2", "0x1.d1850ea14005bp-2",
     )),
 }
 
 #: sha256 of the shot log of the N = 2 configuration above (40003 shots, so
 #: the last round is partial), recorded with the estimates.
-RECORDED_LOG_SHA256 = "713ac5da0e07bd0a61748891d051f6476b5d27fd07489b45c05ba38487daa854"
+RECORDED_LOG_SHA256 = "8d851c57b2fcc3eb62a4f71b4b5490109621ea52f58714472c56a7a9edc11862"
 
 
 class TestRecordedParity:

@@ -124,6 +124,19 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_efficiency(1, 0.0, "p", mode="fix_eta_a")
 
+    def test_zero_width_terminates(self, monkeypatch):
+        default = threshold_efficiency(1, 0.0, "p")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 200:
+                raise RuntimeError("bisection did not stop at the float spacing")
+            return steering_functional(*args, **kwargs)
+
+        monkeypatch.setattr(steering, "steering_functional", counted)
+        assert threshold_efficiency(1, 0.0, "p", width=0.0) == pytest.approx(default, abs=1e-6)
+
 
 class TestSweep:
     def test_monotone_in_eta_and_zero_at_lossless(self):
