@@ -73,11 +73,13 @@ def parse_phase(text: str) -> float:
         sign = -1.0 if match.group(1) == "-" else 1.0
         coef = float(match.group(2)) if match.group(2) else 1.0
         den = float(match.group(3)) if match.group(3) else 1.0
+        if den == 0.0:
+            raise UsageError(1, f"error: phase {text!r} divides by zero")
         return sign * coef * math.pi / den
     try:
         return float(text)
     except ValueError as exc:
-        raise UsageError(1, f"cannot parse phase {text!r}") from exc
+        raise UsageError(1, f"error: cannot parse phase {text!r}") from exc
 
 
 @dataclass(frozen=True)

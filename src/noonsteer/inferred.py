@@ -4,8 +4,9 @@ Two independent routes live here:
 
 * the integral route: conditional moments of the lossy NOON state written
   with oscillator wavefunctions and the exact Fock matrix elements
-  R_n(j, k) = <j|X^n|k> = int q^n psi_j psi_k dq, averaged over the a-mode
-  outcome by adaptive quadrature;
+  R_n(j, k) = <j|X^n|k> = int q^n psi_j psi_k dq. Every average over the
+  a-mode outcome is exact except one: the adaptive quadrature of
+  S_N^2 / (4 P) in the inferred variance (``inferred_variance_quadrature``);
 * the matrix route (``density_*`` functions): the same quantities from an
   explicit two-mode density matrix, conditioned numerically and traced
   against truncated operator matrices.
@@ -16,7 +17,6 @@ the X quadrature on a infers every quadrature-power quantity on b.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -113,46 +113,26 @@ def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
     return px[0] if np.ndim(x) else float(px[0, 0])
 
 
-def operator_numerators(n_quanta: int, phi: float, channels, operators):
-    """x -> ([S_M(x) for each operator M], P(x)), each of shape (C, len(x)).
-
-    S_M(x) = 2 P(x) <M_b>_x = branch_a M_00 + psi_0^2 sum_k ladder_b[k] M_kk
-    + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N. Each mode-b operator M comes
-    as the entries this form reads, (M_00, [M_kk for k = 0..N], M_N0).
-    """
+def _moment_numerators(n_quanta, phi, channels, which, order):
+    """(x -> (S(x), P(x)), int S dx) for M = (X_theta)^order, with S and P of
+    shape (C, len(x)): S(x) = 2 P(x) <M_b>_x = branch_a M_00
+    + psi_0^2 sum_k ladder_b[k] M_kk + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N,
+    where M_jk = <j|M|k> = e^{i (j - k) theta} R_order(j, k) from the exact
+    moment table. As int branch_a = int psi_0^2 = 1 and int psi_0 psi_N = 0,
+    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel."""
+    theta = OBSERVABLE_THETA[_norm_which(which).upper()]
     ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
     damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
-    terms = [
-        (
-            m_00,
-            sum(ladder_b[:, k] * m_diag[k] for k in range(n_quanta + 1))[:, None],
-            (2.0 * damping * (cmath.exp(-1j * phi) * m_n0).real)[:, None],
-        )
-        for m_00, m_diag, m_n0 in operators
-    ]
+    m_00 = moment_integral(order, 0, 0)
+    diag_b = sum(ladder_b[:, k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
+    cross = (2.0 * damping * moment_integral(order, 0, n_quanta) * math.cos(n_quanta * theta - phi))[:, None]
 
     def numerators(x):
         branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
-        return [branch_a * m_00 + psi0_sq * diag_b + cross * psi0_psin
-                for m_00, diag_b, cross in terms], px
+        return branch_a * m_00 + psi0_sq * diag_b[:, None] + cross * psi0_psin, px
 
-    return numerators
-
-
-def _moment_numerators(n_quanta, phi, channels, which, orders):
-    """``operator_numerators`` for M = (X_theta)^n, one per requested order n,
-    from the exact moment table: <j|X_theta^n|k> = e^{i (j - k) theta} R_n(j, k)."""
-    theta = OBSERVABLE_THETA[_norm_which(which).upper()]
-    operators = [
-        (
-            moment_integral(order, 0, 0),
-            [moment_integral(order, k, k) for k in range(n_quanta + 1)],
-            cmath.rect(moment_integral(order, 0, n_quanta), n_quanta * theta),
-        )
-        for order in orders
-    ]
-    return operator_numerators(n_quanta, phi, channels, operators)
+    return numerators, m_00 + diag_b
 
 
 def conditional_quadrature_moment(
@@ -167,7 +147,7 @@ def conditional_quadrature_moment(
     if order < 1:
         raise ValueError("moment order must be >= 1")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    (s,), px = _moment_numerators(n_quanta, phi, [channel], which, [order])(x_arr)
+    s, px = _moment_numerators(n_quanta, phi, [channel], which, order)[0](x_arr)
     if np.any(px < CONDITIONING_FLOOR):
         raise ZeroProbabilityConditioning("conditioning density vanished")
     out = (s / (2.0 * px))[0]
@@ -175,21 +155,22 @@ def conditional_quadrature_moment(
 
 
 def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str = "p"):
-    """Average conditional variance of Q_b^N given the a-mode X outcome.
-
-    Integrated in the product form P(x) * Var(Q^N | x), which stays finite
-    where P(x) underflows. ``channel`` is one LossChannel, giving a float, or
-    a sequence of them, giving an array: their integrands share the nodes and
-    one batched ``integrate`` call, and each entry equals the one-channel
-    value bit for bit.
-    """
+    """Average conditional variance of Q_b^N given the a-mode X outcome,
+    int (S_2N / 2 - S_N^2 / (4 P)) dx in the terms of ``_moment_numerators``.
+    The S_2N term enters as its exact integral times P(x) (int P = 1): only the
+    ratio term, finite where P(x) underflows, needs refining, and convergence
+    is judged on the variance itself. ``channel`` is one LossChannel, giving a
+    float, or a sequence of them, giving an array: their integrands share one
+    batched ``integrate`` call, and each entry equals the one-channel value bit
+    for bit."""
     channels = _channel_list(channel)
-    numerators = _moment_numerators(n_quanta, phi, channels, which, [n_quanta, 2 * n_quanta])
+    numerators, _ = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
+    _, second = _moment_numerators(n_quanta, phi, channels, which, 2 * n_quanta)
 
     def integrand(x):
-        (s_n, s_2n), px = numerators(x)
+        s_n, px = numerators(x)
         ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
-        return 0.5 * s_2n - ratio
+        return 0.5 * second[:, None] * px - ratio
 
     values = integrate(integrand)
     return float(values[0]) if isinstance(channel, LossChannel) else values

@@ -1,9 +1,9 @@
 """Composite Gauss-Legendre quadrature with nested refinement.
 
 Fixed-order panels over a symmetric interval, doubled until two successive
-levels agree. Chosen over plain Gauss-Hermite because several integrands in
-this package carry modulus kinks that break polynomial exactness; for those,
-``integrate_abs`` locates the sign changes first and integrates piecewise.
+levels agree. Chosen over plain Gauss-Hermite because S_N^2 / P has poles
+near the real axis. ``integrate_abs`` locates the sign changes of a kinked
+|f| first and integrates piecewise; it serves the matrix route only.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def integrate(
     level before within ``abs_tol + rel_tol * |value|``, and each row is summed
     on its own, so a row's result does not depend on the rows beside it.
     Raises ConvergenceFailure if panel doubling stalls above tolerance for
-    any row, or if a batch outgrows ``BATCH_VALUE_BUDGET``.
+    any row (at once for a non-finite value), or if a batch outgrows ``BATCH_VALUE_BUDGET``.
     """
     if grid is None:
         grid = default_grid()
@@ -100,6 +100,8 @@ def integrate(
             )
         current = np.asarray(np.sum(f(grid.nodes) * grid.weights, axis=-1))
         delta = np.abs(current - previous)
+        if not np.isfinite(delta[pending]).all():
+            raise ConvergenceFailure(f"integral is not finite at panels={grid.panels}")
         converged = pending & (delta <= abs_tol + rel_tol * np.abs(current))
         result[converged] = current[converged]
         pending &= ~converged

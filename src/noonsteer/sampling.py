@@ -147,6 +147,8 @@ def sample_quadrature_pair(
     """
     if observable not in OBSERVABLE_THETA:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_THETA)}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got phi={phi}")
     theta = OBSERVABLE_THETA[observable]
     x = _draw_x(n_quanta, channel, rng, size)
     coeff_diag, coeff_cross, bound = _conditional_profile(n_quanta, phi, channel, theta, x)

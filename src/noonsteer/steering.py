@@ -12,6 +12,7 @@ as an infinite E: the configuration is unusable, not steered or unsteered.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -31,10 +32,9 @@ from .inferred import (
     compute_inferred_moments,
     inferred_commutator_modulus,
     inferred_variance_quadrature,
-    operator_numerators,
+    overlap_abs_integral,
 )
 from .lossy import LossChannel, conditional_number_b, number_marginal_a
-from .quadrature import integrate_abs
 
 #: Phase factors smaller than this count as an analytically zero denominator.
 PHASE_TOLERANCE = 1e-9
@@ -67,7 +67,7 @@ class SteeringReport:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point of a sweep; ``error`` is set instead of aborting."""
+    """One grid point of a sweep; ``error`` ("Class: message") replaces aborting."""
 
     n_quanta: int
     phi: float
@@ -99,9 +99,11 @@ class CoherenceReport:
 
 def check_phase(n_quanta: int, phi: float, which: str):
     """Raise NondiscriminatingPhase when the criterion denominator vanishes,
-    and ValueError for N < 1, where it vanishes at every phase."""
+    and ValueError for N < 1, where it vanishes at every phase, or phi = nan/inf."""
     if n_quanta < 1:
         raise ValueError(f"NOON order must be >= 1, got N={n_quanta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got phi={phi}")
     if commutator_phase_factor(n_quanta, phi, which) < PHASE_TOLERANCE:
         form = "cos" if (which.lower() == "p" and n_quanta % 2 == 1) else "sin"
         raise NondiscriminatingPhase(
@@ -183,8 +185,8 @@ def threshold_efficiency(
     """Bisect the efficiency at which E crosses 1.
 
     Requires E < 1 at the high end of the bracket and E >= 1 at the low end,
-    and asserts empirically that E is monotone on the bracket before
-    bisecting down to ``width`` or to the bracket's float spacing.
+    and asserts empirically that E is monotone on 7 bracket points (one batched
+    scan) before bisecting down to ``width`` or to the bracket's float spacing.
     """
     if mode != "symmetric" and fixed_value is None:
         raise ValueError(f"mode {mode!r} needs a fixed efficiency value")
@@ -193,13 +195,16 @@ def threshold_efficiency(
         return steering_functional(n_quanta, phi, _channel_for(mode, fixed_value, eta), which).E
 
     lo, hi = bracket
-    e_lo, e_hi = e_at(lo), e_at(hi)
+    check_phase(n_quanta, phi, which)
+    channels = [_channel_for(mode, fixed_value, float(eta)) for eta in np.linspace(lo, hi, 7)]
+    for channel in channels:
+        _screen(n_quanta, channel)
+    seq = [report.E for report in _reports(n_quanta, phi, channels, which)]
+    e_lo, e_hi = seq[0], seq[-1]
     if not (e_hi < 1.0 <= e_lo):
         raise NoThresholdInBracket(
             f"E({lo})={e_lo:.4f}, E({hi})={e_hi:.4f}: no crossing of 1 inside the bracket"
         )
-    probes = [e_at(eta) for eta in np.linspace(lo, hi, 7)[1:-1]]
-    seq = [e_lo, *probes, e_hi]
     if any(b > a + 1e-9 for a, b in zip(seq, seq[1:])):
         raise NoThresholdInBracket("E is not monotone on the bracket; refusing to bisect")
     while hi - lo > width:
@@ -250,7 +255,7 @@ def sweep(
         outcomes = _sweep_slice(n_quanta, phi, which, pairs)
         for (eta_a, eta_b), outcome in zip(pairs, outcomes):
             if isinstance(outcome, NoonSteerError):
-                values = {"error": type(outcome).__name__}
+                values = {"error": f"{type(outcome).__name__}: {outcome}"}
             else:
                 values = {
                     "var_number": outcome.var_number,
@@ -318,21 +323,14 @@ def protocol_combination(n_quanta: int, which: str, dim: int) -> np.ndarray:
 def protocol_rhs(
     n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
 ) -> float:
-    """The measurable right-hand side of the steering inequality.
-
-    Built solely from conditional means of quadrature powers on mode b, so it
-    is a valid bound for any state, not only the NOON family it is evaluated
-    on here.
-    """
-    combo = protocol_combination(n_quanta, which, n_quanta + 12)
-    entries = (combo[0, 0].real, combo.diagonal()[: n_quanta + 1].real, complex(combo[n_quanta, 0]))
-    numerators = operator_numerators(n_quanta, phi, [channel], [entries])
-
-    def signed(x):
-        (s,), _ = numerators(x)
-        return s[0]
-
-    return 0.25 * integrate_abs(signed)
+    """The measurable right-hand side of the steering inequality: half of
+    int P(x) |<M_b>_x| dx for the state-independent ``protocol_combination`` M,
+    so a bound for any state. Exact on lossy NOON states: M has a zero diagonal
+    on k <= N (the N = 2 coefficients sum to 0; parity zeroes N = 1, 3), which
+    leaves 2 P(x) <M_b>_x = 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N."""
+    m_n0 = complex(protocol_combination(n_quanta, which, n_quanta + 12)[n_quanta, 0])
+    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
+    return 0.5 * damping * abs((cmath.exp(-1j * phi) * m_n0).real) * overlap_abs_integral(n_quanta)
 
 
 def coherence_inequality(

@@ -53,8 +53,18 @@ class TestRejectedInputs:
             (["eval", "--n", "0", "--phi", "0"], "N=0"),
             (["threshold", "--n", "0", "--phi", "pi/2"], "N=0"),
             (["sweep", "--n", "0", "--phi", "pi/2"], "N=0"),
+            (["sample", "--n", "1", "--phi", "nan", "--shots", "10"], "phi=nan"),
+            (["eval", "--phi", "nan"], "phi=nan"),
+            (["threshold", "--n", "1", "--phi", "nan"], "phi=nan"),
+            (["sweep", "--phi", "nan"], "phi=nan"),
+            (["eval", "--phi", "inf"], "phi=inf"),
+            (["eval", "--phi", "pi/0"], "'pi/0' divides by zero"),
         ],
-        ids=["sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0"],
+        ids=[
+            "sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0",
+            "sample-phi-nan", "eval-phi-nan", "threshold-phi-nan", "sweep-phi-nan", "eval-phi-inf",
+            "eval-phi-pi-over-0",
+        ],
     )
     def test_exit_one_with_one_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -18,11 +19,14 @@ from noonsteer.inferred import (
     overlap_abs_integral,
     px_density,
 )
-from noonsteer.fock import wavefunction_stack
-from noonsteer.quadrature import integrate_abs
+from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
+from noonsteer.quadrature import integrate, integrate_abs
 from noonsteer.lossy import (
+    CONDITIONING_FLOOR,
     LOSSLESS,
     LossChannel,
+    _branch_profiles,
+    binomial_ladder,
     conditional_number_b,
     lossy_noon_density,
     number_marginal_a,
@@ -139,6 +143,39 @@ class TestInferredVariance:
     def test_n1_lossy_variance_closed_form(self, eta_a, eta_b):
         value = inferred_variance_quadrature(1, 0.0, LossChannel(eta_a, eta_b), "p")
         assert value == pytest.approx(1.0 + eta_b, abs=1e-6)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_quanta=st.integers(min_value=1, max_value=8),
+        which=st.sampled_from(["p", "x"]),
+        phi=st.floats(min_value=-math.pi, max_value=math.pi),
+        eta_a=st.floats(min_value=0.5, max_value=1.0),
+        eta_b=st.floats(min_value=0.5, max_value=1.0),
+    )
+    def test_matches_whole_integrand_quadrature(self, n_quanta, which, phi, eta_a, eta_b):
+        # the S_2N term integrated with the ratio term instead of in closed form
+        channel = LossChannel(eta_a, eta_b) if n_quanta <= 5 else LOSSLESS
+        theta = OBSERVABLE_THETA[which.upper()]
+        ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
+        ladder_b = binomial_ladder(n_quanta, channel.eta_b)
+        damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
+
+        def numerator(order, branch_a, psi0_sq, psi0_psin):
+            """2 P(x) <X_theta^order>_x."""
+            diag_b = sum(ladder_b[k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
+            m_n0 = cmath.rect(moment_integral(order, 0, n_quanta), n_quanta * theta)
+            cross = 2.0 * damping * (cmath.exp(-1j * phi) * m_n0).real
+            return branch_a * moment_integral(order, 0, 0) + psi0_sq * diag_b + cross * psi0_psin
+
+        def integrand(x):
+            branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
+            s_n = numerator(n_quanta, branch_a[0], psi0_sq, psi0_psin)
+            s_2n = numerator(2 * n_quanta, branch_a[0], psi0_sq, psi0_psin)
+            ratio = np.divide(s_n**2, 4.0 * px[0], out=np.zeros_like(px[0]), where=px[0] > CONDITIONING_FLOOR)
+            return 0.5 * s_2n - ratio
+
+        value = inferred_variance_quadrature(n_quanta, phi, channel, which)
+        assert value == pytest.approx(integrate(integrand), rel=1e-12)
 
 
 class TestInferredNumberVariance:

@@ -91,6 +91,23 @@ class TestIntegrate:
             deltas.append(float(str(single.value).split()[-1]))
         assert f"last delta {max(deltas):.3e} (largest of 2 unconverged rows)" in str(failure.value)
 
+    def test_non_finite_integrand_fails_at_once(self):
+        calls = []
+
+        def nan_from_third_level(x):
+            # levels 1 and 2 disagree, so the row is still pending at level 3
+            calls.append(None)
+            return np.exp(-x * x) * (len(calls) if len(calls) < 3 else np.nan)
+
+        with pytest.raises(ConvergenceFailure, match="not finite at panels=96"):
+            integrate(lambda x: calls.append(None) or np.full_like(x, np.nan))
+        assert len(calls) <= 2
+        # a row that turns non-finite at a later level fails there, in a batch too
+        calls.clear()
+        with pytest.raises(ConvergenceFailure, match="not finite at panels=192"):
+            integrate(lambda x: np.stack([np.exp(-x * x), nan_from_third_level(x)]))
+        assert len(calls) == 3
+
     def test_batch_outgrowing_its_budget_fails(self, monkeypatch):
         monkeypatch.setattr(quadrature, "BATCH_VALUE_BUDGET", 4000)
         stack = lambda x: np.stack([np.sin(1e5 * x * x), np.exp(-x * x)])

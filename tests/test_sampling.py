@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noonsteer import sampling
 from noonsteer.errors import InsufficientBinOccupancy
 from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
 from noonsteer.inferred import px_density
@@ -79,6 +80,17 @@ class TestQuadratureSampling:
         lhs = np.mean(q_r**2)
         rhs = 0.5 * (np.mean(q_x**2) + np.mean(q_p**2))  # <XP+PX> = 0 unconditionally
         assert abs(lhs - rhs) < 0.05
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected_before_drawing(self, phi, monkeypatch):
+        # a NaN bound accepts no proposal, so the loop would never end; a
+        # proposal draw fails the test instead of hanging it
+        monkeypatch.setattr(sampling, "wavefunction_stack", lambda *args: pytest.fail("drew a proposal"))
+        generator = rng(11)
+        state = generator.bit_generator.state
+        with pytest.raises(ValueError, match="phase must be finite"):
+            sample_quadrature_pair(1, phi, LOSSLESS, "X", generator, 10)
+        assert generator.bit_generator.state == state
 
 
 def gaussian(q, sigma):

@@ -1,9 +1,10 @@
+import cmath
 import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _states import coherent_vector, fock_vector, product_density
@@ -16,14 +17,16 @@ from noonsteer.errors import (
     OutOfSupportedOrder,
     UnsupportedOrder,
 )
-from noonsteer.fock import operator_matrix
+from noonsteer.fock import HOMODYNE_COMBINATIONS, operator_matrix
 from noonsteer.inferred import (
+    commutator_phase_factor,
     density_abs_conditional_mean,
     density_number_variance,
     density_quadrature_variance,
     inferred_commutator_modulus,
 )
-from noonsteer.lossy import LOSSLESS, LossChannel, TwoModeDensity
+from noonsteer.lossy import LOSSLESS, LossChannel, TwoModeDensity, _branch_profiles, binomial_ladder
+from noonsteer.quadrature import integrate_abs
 from noonsteer.steering import (
     caption_phase,
     coherence_inequality,
@@ -137,6 +140,48 @@ class TestThreshold:
         monkeypatch.setattr(steering, "steering_functional", counted)
         assert threshold_efficiency(1, 0.0, "p", width=0.0) == pytest.approx(default, abs=1e-6)
 
+    @pytest.mark.parametrize("mode", ["symmetric", "fix_eta_a", "fix_eta_b"])
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3, 4])
+    def test_batched_bracket_scan_matches_sequential_loop(self, n_quanta, mode):
+        fixed = None if mode == "symmetric" else 0.99
+        phi = caption_phase(n_quanta)
+        assert threshold_outcome(threshold_efficiency, n_quanta, phi, mode, fixed) == threshold_outcome(
+            sequential_threshold, n_quanta, phi, mode, fixed
+        )
+
+
+def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 1.0), width=1e-6):
+    """``threshold_efficiency`` with its bracket scan made one ``steering_functional``
+    call at a time."""
+
+    def e_at(eta):
+        return steering_functional(n_quanta, phi, steering._channel_for(mode, fixed_value, eta), which).E
+
+    lo, hi = bracket
+    e_lo, e_hi = e_at(lo), e_at(hi)
+    if not (e_hi < 1.0 <= e_lo):
+        raise NoThresholdInBracket("no crossing of 1 inside the bracket")
+    seq = [e_lo, *(e_at(eta) for eta in np.linspace(lo, hi, 7)[1:-1]), e_hi]
+    if any(b > a + 1e-9 for a, b in zip(seq, seq[1:])):
+        raise NoThresholdInBracket("E is not monotone on the bracket")
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if e_at(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def threshold_outcome(solve, n_quanta, phi, mode, fixed_value):
+    """The hex of eta*, or the error class."""
+    try:
+        return float(solve(n_quanta, phi, "p", mode=mode, fixed_value=fixed_value)).hex()
+    except NoonSteerError as exc:
+        return type(exc).__name__
+
 
 class TestSweep:
     def test_monotone_in_eta_and_zero_at_lossless(self):
@@ -154,7 +199,7 @@ class TestSweep:
         keys = [(r.n_quanta, r.eta_a, r.eta_b) for r in rows]
         assert keys == sorted(keys)
         flagged = [r for r in rows if r.error is not None]
-        assert len(flagged) == 1 and flagged[0].error == "DegenerateChannel"
+        assert len(flagged) == 1 and flagged[0].error.startswith("DegenerateChannel: eta_a")
         assert flagged[0].E is None
 
     def test_continuity_in_eta(self):
@@ -188,7 +233,7 @@ ROW_FIELDS = ("var_number", "var_quadrature_n", "commutator_modulus", "E", "viol
 
 
 def row_outcome(row):
-    """A sweep row as comparable data: its error class, or the hex of every value."""
+    """A sweep row as comparable data: its error, or the hex of every value."""
     if row.error is not None:
         return row.error
     return tuple(v if isinstance(v, bool) else float(v).hex() for v in (getattr(row, f) for f in ROW_FIELDS))
@@ -199,7 +244,7 @@ def point_outcome(n_quanta, phi, eta_a, eta_b, which):
     try:
         report = steering_functional(n_quanta, phi, LossChannel(eta_a, eta_b), which)
     except NoonSteerError as exc:
-        return type(exc).__name__
+        return f"{type(exc).__name__}: {exc}"
     return tuple(
         v if isinstance(v, bool) else float(v).hex() for v in (getattr(report, f) for f in ROW_FIELDS)
     )
@@ -236,11 +281,12 @@ class TestBatchedSweep:
         got = {(r.n_quanta, r.eta_a): row_outcome(r) for r in rows}
         want = {(n, eta): point_outcome(n, phases[n], eta, eta, "p") for n in phases for eta in grid}
         assert got == want
-        errors = {(n, eta): outcome for (n, eta), outcome in want.items() if isinstance(outcome, str)}
-        assert errors[(2, 0.95)] == "NondiscriminatingPhase"
-        assert errors[(1, 0.0)] == errors[(6, 0.0)] == errors[(17, 0.0)] == "DegenerateChannel"
-        assert errors[(6, 0.6)] == errors[(17, 0.95)] == "UnsupportedOrder"
-        assert errors[(17, 1.0)] == "OutOfSupportedOrder"
+        errors = {key: outcome.split(": ", 1) for key, outcome in want.items() if isinstance(outcome, str)}
+        assert all(message for _, message in errors.values())
+        assert errors[(2, 0.95)][0] == "NondiscriminatingPhase"
+        assert errors[(1, 0.0)][0] == errors[(6, 0.0)][0] == errors[(17, 0.0)][0] == "DegenerateChannel"
+        assert errors[(6, 0.6)][0] == errors[(17, 0.95)][0] == "UnsupportedOrder"
+        assert errors[(17, 1.0)][0] == "OutOfSupportedOrder"
         assert (6, 1.0) not in errors and (1, 0.6) not in errors
 
     def test_lossy_order_is_refused_before_any_quadrature(self):
@@ -270,24 +316,27 @@ class TestBatchedSweep:
         real = inferred._moment_numerators
         calls = []
 
-        def stalling(n_quanta, phi, channels, which, orders):
-            numerators = real(n_quanta, phi, channels, which, orders)
+        def stalling(n_quanta, phi, channels, which, order):
+            numerators, integral = real(n_quanta, phi, channels, which, order)
             hit = [i for i, channel in enumerate(channels) if channel == stalled]
-            calls.append(len(channels))
+            if order == n_quanta:  # the kernel that is integrated; order 2N gives an exact integral
+                calls.append(len(channels))
 
             def perturbed(x):
                 values, px = numerators(x)
-                values[-1][hit] += np.sin(1e5 * x * x)
+                values[hit] += np.sin(1e5 * x * x)
                 return values, px
 
-            return perturbed
+            return perturbed, integral
 
         monkeypatch.setattr(inferred, "_moment_numerators", stalling)
         monkeypatch.setattr(inferred, "integrate", functools.partial(quadrature.integrate, max_refinements=3))
         rows = sweep([1], 0.0, "p", symmetric=grid)
         # one call per chunk, then the failed chunk again one row at a time
         assert calls == [32, 9] + [1] * 9
-        assert [(r.eta_a, r.error) for r in rows if r.error] == [(stalled.eta_a, "ConvergenceFailure")]
+        flagged = [(r.eta_a, *r.error.split(": ", 1)) for r in rows if r.error]
+        assert [(eta, name) for eta, name, _ in flagged] == [(stalled.eta_a, "ConvergenceFailure")]
+        assert flagged[0][2].startswith("refinement stalled at panels=384")
         assert all(row_outcome(r) == want[r.eta_a] for r in rows if r.error is None)
 
 
@@ -349,6 +398,37 @@ class TestProtocolRhs:
         for n_quanta in (0, 4):
             with pytest.raises(UnsupportedOrder):
                 protocol_rhs(n_quanta, math.pi / 2, LOSSLESS, "p")
+
+    @pytest.mark.parametrize("n_quanta,which", sorted(HOMODYNE_COMBINATIONS))
+    def test_combination_diagonal_vanishes(self, n_quanta, which):
+        # the precondition of the closed form: only the psi_0 psi_N term is left
+        diagonal = protocol_combination(n_quanta, which, n_quanta + 12).diagonal()[: n_quanta + 1]
+        assert np.max(np.abs(diagonal)) <= 1e-12
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_quanta=st.integers(min_value=1, max_value=3),
+        which=st.sampled_from(["p", "x"]),
+        phi=st.floats(min_value=-math.pi, max_value=math.pi),
+        eta_a=st.floats(min_value=0.5, max_value=1.0),
+        eta_b=st.floats(min_value=0.5, max_value=1.0),
+    )
+    def test_matches_full_numerator_quadrature(self, n_quanta, which, phi, eta_a, eta_b):
+        # 2 P(x) <M_b>_x with every term of the combination M, diagonal included
+        assume(commutator_phase_factor(n_quanta, phi, which) > 0.05)
+        combo = protocol_combination(n_quanta, which, n_quanta + 12)
+        ladder_a = binomial_ladder(n_quanta, eta_a)[None, :]
+        ladder_b = binomial_ladder(n_quanta, eta_b)
+        diag_b = sum(ladder_b[k] * combo[k, k].real for k in range(n_quanta + 1))
+        damping = math.sqrt(eta_a * eta_b) ** n_quanta
+        cross = 2.0 * damping * (cmath.exp(-1j * phi) * combo[n_quanta, 0]).real
+
+        def signed(x):
+            branch_a, psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
+            return branch_a[0] * combo[0, 0].real + psi0_sq * diag_b + cross * psi0_psin
+
+        rhs = protocol_rhs(n_quanta, phi, LossChannel(eta_a, eta_b), which)
+        assert rhs == pytest.approx(0.25 * integrate_abs(signed), rel=1e-12)
 
 
 class TestCoherenceInequality:
