@@ -46,6 +46,9 @@ SWEEP_COLUMNS = (
     "error",
 )
 
+#: Most rows one sweep may have, checked before its grid is built (fig2 has 1681).
+MAX_GRID_ROWS = 10**6
+
 _PI_PATTERN = re.compile(r"^\s*(-?)(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$")
 
 
@@ -194,11 +197,18 @@ def cmd_eval(config: RunConfig) -> int:
     return 0
 
 
-def _grid_values(start: float, stop: float, step: float) -> list[float]:
+def _grid_values(start: float, stop: float, step: float, axes: int = 1) -> list[float]:
+    """The axis start, start + step, ..., stop of a grid with ``axes`` such axes,
+    checked against MAX_GRID_ROWS before it is built."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"grid {name} must be finite, got {value}")
     if step == 0.0:
         raise ValueError("grid step must be nonzero")
-    count = int(round((stop - start) / step))
-    return [round(start + i * step, 12) for i in range(count + 1)]
+    steps = (stop - start) / step
+    if not (math.isfinite(steps) and max(round(steps) + 1, 0) ** axes <= MAX_GRID_ROWS):
+        raise ValueError(f"grid step={step} from {start} to {stop} makes over {MAX_GRID_ROWS} rows")
+    return [round(start + i * step, 12) for i in range(round(steps) + 1)]
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -213,7 +223,7 @@ def cmd_sweep(config: RunConfig) -> int:
         grid = _grid_values(0.80, 1.00, 0.005)
         rows = sweep([2], math.pi / 2.0, "p", eta_a_values=grid, eta_b_values=grid)
     elif config.grid_2d:
-        grid = _grid_values(config.grid_start, config.grid_stop, config.grid_step)
+        grid = _grid_values(config.grid_start, config.grid_stop, config.grid_step, axes=2)
         rows = sweep(
             [config.n_quanta], config.phi, config.criterion,
             eta_a_values=grid, eta_b_values=grid,

@@ -41,7 +41,7 @@ class DegenerateChannel(NoonSteerError):
 
 
 class NoThresholdInBracket(NoonSteerError):
-    """E does not cross 1 inside the bisection bracket."""
+    """E does not cross 1 inside the search bracket."""
 
 
 class UnsupportedOrder(NoonSteerError):

@@ -120,6 +120,7 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
     where M_jk = <j|M|k> = e^{i (j - k) theta} R_order(j, k) from the exact
     moment table. As int branch_a = int psi_0^2 = 1 and int psi_0 psi_N = 0,
     int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel."""
+    check_finite_phase(phi)
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
     ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
@@ -190,8 +191,15 @@ def inferred_number_variance(n_quanta: int, channel: LossChannel) -> float:
     return numer / (2.0 * (lost_a + 1.0))
 
 
+def check_finite_phase(phi: float):
+    """Raise ValueError for phi = nan or +-inf, which no criterion accepts."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got phi={phi}")
+
+
 def commutator_phase_factor(n_quanta: int, phi: float, which: str) -> float:
     """|trig(phi)| selecting the usable phases of each criterion."""
+    check_finite_phase(phi)
     which = _norm_which(which)
     if which == "p" and n_quanta % 2 == 1:
         return abs(math.cos(phi))

@@ -27,7 +27,7 @@ from numpy.polynomial.hermite import Hermite
 
 from .errors import DegenerateChannel, InsufficientBinOccupancy
 from .fock import OBSERVABLE_THETA, homodyne_combination, wavefunction_stack
-from .inferred import px_density
+from .inferred import check_finite_phase, px_density
 from .lossy import LossChannel, _branch_profiles, binomial_ladder
 
 SETTING_NUMBER = "number-pair"
@@ -147,8 +147,7 @@ def sample_quadrature_pair(
     """
     if observable not in OBSERVABLE_THETA:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_THETA)}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got phi={phi}")
+    check_finite_phase(phi)
     theta = OBSERVABLE_THETA[observable]
     x = _draw_x(n_quanta, channel, rng, size)
     coeff_diag, coeff_cross, bound = _conditional_profile(n_quanta, phi, channel, theta, x)

@@ -28,6 +28,7 @@ from .errors import (
 from .fock import OBSERVABLE_THETA, homodyne_combination, operator_matrix
 from .inferred import (
     check_commutator_order,
+    check_finite_phase,
     commutator_phase_factor,
     compute_inferred_moments,
     inferred_commutator_modulus,
@@ -102,8 +103,6 @@ def check_phase(n_quanta: int, phi: float, which: str):
     and ValueError for N < 1, where it vanishes at every phase, or phi = nan/inf."""
     if n_quanta < 1:
         raise ValueError(f"NOON order must be >= 1, got N={n_quanta}")
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got phi={phi}")
     if commutator_phase_factor(n_quanta, phi, which) < PHASE_TOLERANCE:
         form = "cos" if (which.lower() == "p" and n_quanta % 2 == 1) else "sin"
         raise NondiscriminatingPhase(
@@ -182,40 +181,68 @@ def threshold_efficiency(
     bracket: tuple[float, float] = (0.5, 1.0),
     width: float = 1e-6,
 ) -> float:
-    """Bisect the efficiency at which E crosses 1.
+    """Solve for the efficiency at which E crosses 1, to within ``width`` / 2.
 
     Requires E < 1 at the high end of the bracket and E >= 1 at the low end,
     and asserts empirically that E is monotone on 7 bracket points (one batched
-    scan) before bisecting down to ``width`` or to the bracket's float spacing.
+    scan). Rounds of one batched call then narrow the scan step straddling E = 1
+    to ``width``: they probe g -/+ d, g inverse-interpolating E = 1 and d a fifth
+    of g's last change (>= 0.4 ``width``), or the thirds when g is outside or the
+    last round did not halve: at most 2 ceil(log3(scan step / width)) + 1 rounds.
     """
     if mode != "symmetric" and fixed_value is None:
         raise ValueError(f"mode {mode!r} needs a fixed efficiency value")
-
-    def e_at(eta: float) -> float:
-        return steering_functional(n_quanta, phi, _channel_for(mode, fixed_value, eta), which).E
-
+    if not (math.isfinite(width) and width >= 0.0):
+        raise ValueError(f"threshold width must be finite and >= 0, got {width}")
     lo, hi = bracket
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi <= 1.0):
+        raise ValueError(f"threshold bracket needs 0 <= lo < hi <= 1, got {bracket}")
     check_phase(n_quanta, phi, which)
-    channels = [_channel_for(mode, fixed_value, float(eta)) for eta in np.linspace(lo, hi, 7)]
-    for channel in channels:
-        _screen(n_quanta, channel)
-    seq = [report.E for report in _reports(n_quanta, phi, channels, which)]
+
+    def e_values(etas) -> list[float]:
+        channels = [_channel_for(mode, fixed_value, eta) for eta in etas]
+        for channel in channels:
+            _screen(n_quanta, channel)
+        return [report.E for report in _reports(n_quanta, phi, channels, which)]
+
+    etas = np.linspace(lo, hi, 7).tolist()
+    seq = e_values(etas)
     e_lo, e_hi = seq[0], seq[-1]
     if not (e_hi < 1.0 <= e_lo):
         raise NoThresholdInBracket(
             f"E({lo})={e_lo:.4f}, E({hi})={e_hi:.4f}: no crossing of 1 inside the bracket"
         )
     if any(b > a + 1e-9 for a, b in zip(seq, seq[1:])):
-        raise NoThresholdInBracket("E is not monotone on the bracket; refusing to bisect")
+        raise NoThresholdInBracket("E is not monotone on the bracket; refusing to solve")
+    known = list(zip(etas, seq))
+    i = next(k for k, e in enumerate(seq) if e < 1.0)
+    lo, hi = etas[i - 1], etas[i]
+    guess, halved = _inverse_estimate(known[i - 1 : i + 1]), True
     while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        span, mid = hi - lo, 0.5 * (lo + hi)
+        last, guess = guess, _inverse_estimate(sorted(known, key=lambda p: abs(p[0] - mid))[:4])
+        d = max(0.2 * abs(guess - last), 0.4 * width)
+        if not (halved and lo < guess < hi):
+            guess, d = mid, span / 6.0
+        probes = sorted({p for p in (guess - d, guess + d) if lo < p < hi} or {mid} - {lo, hi})
+        if not probes:
             break
-        if e_at(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
+        values = e_values(probes)
+        known += zip(probes, values)
+        k = next((j for j, e in enumerate(values) if e < 1.0), len(probes))
+        lo, hi = ([lo] + probes)[k], (probes + [hi])[k]
+        halved = hi - lo <= 0.5 * span
     return 0.5 * (lo + hi)
+
+
+def _inverse_estimate(points) -> float:
+    """Neville's scheme: eta where the polynomial eta(E) through the (eta, E)
+    ``points`` reaches E = 1; inf or nan when two E values coincide."""
+    x, e = (np.array(points) - [0.0, 1.0]).T
+    with np.errstate(all="ignore"):
+        for k in range(1, len(x)):
+            x = (e[k:] * x[:-1] - e[:-k] * x[1:]) / (e[k:] - e[:-k])
+    return float(x[0])
 
 
 def sweep(
@@ -328,6 +355,7 @@ def protocol_rhs(
     so a bound for any state. Exact on lossy NOON states: M has a zero diagonal
     on k <= N (the N = 2 coefficients sum to 0; parity zeroes N = 1, 3), which
     leaves 2 P(x) <M_b>_x = 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N."""
+    check_finite_phase(phi)
     m_n0 = complex(protocol_combination(n_quanta, which, n_quanta + 12)[n_quanta, 0])
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
     return 0.5 * damping * abs((cmath.exp(-1j * phi) * m_n0).real) * overlap_abs_integral(n_quanta)

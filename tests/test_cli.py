@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -72,6 +73,21 @@ class TestRejectedInputs:
         assert out == ""
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--n", "1", "--start=-inf", "--stop", "1", "--step", "0.01"], "grid start must be finite"),
+            (["sweep", "--stop=nan"], "grid stop must be finite"),
+            (["sweep", "--start", "0.8", "--stop", "1", "--step", "1e-300"], "step=1e-300"),
+            (["sweep", "--grid-2d", "--start", "0", "--stop", "1", "--step", "1e-3"], "over 1000000 rows"),
+        ],
+        ids=["sweep-start-inf", "sweep-stop-nan", "sweep-step-1e-300", "sweep-2d-over-cap"],
+    )
+    def test_sweep_grid_refused_before_it_is_built(self, capsys, argv, message):
+        started = time.perf_counter()
+        self.test_exit_one_with_one_line(capsys, argv, message)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestRunConfig:

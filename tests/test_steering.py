@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from noonsteer.errors import (
 from noonsteer.fock import HOMODYNE_COMBINATIONS, operator_matrix
 from noonsteer.inferred import (
     commutator_phase_factor,
+    conditional_quadrature_moment,
     density_abs_conditional_mean,
     density_number_variance,
     density_quadrature_variance,
@@ -103,6 +105,28 @@ class TestClosedForm:
                 assert abs(numeric - e1p_closed_form(channel)) < 1e-6
 
 
+#: threshold_efficiency's default width.
+THRESHOLD_WIDTH = 1e-6
+
+#: Fixed efficiencies (the benchmark's ranges) that keep a crossing inside
+#: the default bracket at the phases the tests use.
+FIXED_RANGE = {
+    "fix_eta_a": {1: (0.9, 1.0), 2: (0.9, 1.0), 3: (0.9, 1.0), 4: (0.9, 1.0)},
+    "fix_eta_b": {1: (0.9, 1.0), 2: (0.95, 1.0), 3: (0.995, 1.0), 4: (0.999, 1.0)},
+}
+
+
+@st.composite
+def crossing_configs(draw):
+    """(N, phi, criterion, mode, fixed value) with a crossing in the default bracket."""
+    n_quanta = draw(st.integers(1, 4))
+    which = draw(st.sampled_from(["p", "x"]))
+    mode = draw(st.sampled_from(["symmetric", "fix_eta_a", "fix_eta_b"]))
+    fixed = None if mode == "symmetric" else draw(st.floats(*FIXED_RANGE[mode][n_quanta]))
+    phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
+    return n_quanta, phi, which, mode, fixed
+
+
 class TestThreshold:
     def test_n1_symmetric(self):
         assert threshold_efficiency(1, 0.0, "p") == pytest.approx(0.917, abs=0.005)
@@ -130,14 +154,15 @@ class TestThreshold:
     def test_zero_width_terminates(self, monkeypatch):
         default = threshold_efficiency(1, 0.0, "p")
         calls = []
+        reports = steering._reports
 
         def counted(*args, **kwargs):
             calls.append(None)
             if len(calls) > 200:
-                raise RuntimeError("bisection did not stop at the float spacing")
-            return steering_functional(*args, **kwargs)
+                raise RuntimeError("the solve did not stop at the float spacing")
+            return reports(*args, **kwargs)
 
-        monkeypatch.setattr(steering, "steering_functional", counted)
+        monkeypatch.setattr(steering, "_reports", counted)
         assert threshold_efficiency(1, 0.0, "p", width=0.0) == pytest.approx(default, abs=1e-6)
 
     @pytest.mark.parametrize("mode", ["symmetric", "fix_eta_a", "fix_eta_b"])
@@ -145,9 +170,102 @@ class TestThreshold:
     def test_batched_bracket_scan_matches_sequential_loop(self, n_quanta, mode):
         fixed = None if mode == "symmetric" else 0.99
         phi = caption_phase(n_quanta)
-        assert threshold_outcome(threshold_efficiency, n_quanta, phi, mode, fixed) == threshold_outcome(
-            sequential_threshold, n_quanta, phi, mode, fixed
-        )
+        solved = threshold_outcome(threshold_efficiency, n_quanta, phi, mode, fixed)
+        bisected = threshold_outcome(sequential_threshold, n_quanta, phi, mode, fixed)
+        assert type(solved) is type(bisected)
+        if isinstance(bisected, str):
+            assert solved == bisected
+        else:
+            assert abs(solved - bisected) <= THRESHOLD_WIDTH
+
+    @settings(max_examples=25, deadline=None)
+    @given(config=crossing_configs())
+    def test_solve_brackets_the_crossing_within_width(self, config):
+        n_quanta, phi, which, mode, fixed = config
+        eta = threshold_efficiency(n_quanta, phi, which, mode=mode, fixed_value=fixed)
+
+        def e_at(eta):
+            return steering_functional(n_quanta, phi, steering._channel_for(mode, fixed, eta), which).E
+
+        assert e_at(eta - THRESHOLD_WIDTH) >= 1.0 > e_at(min(eta + THRESHOLD_WIDTH, 1.0))
+        bisected = sequential_threshold(n_quanta, phi, which, mode, fixed)
+        assert abs(eta - bisected) <= THRESHOLD_WIDTH
+
+    @pytest.mark.parametrize("mode", ["symmetric", "fix_eta_a", "fix_eta_b"])
+    @pytest.mark.parametrize("which", ["p", "x"])
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3, 4])
+    def test_solve_makes_at_most_ten_batched_calls(self, monkeypatch, n_quanta, which, mode):
+        calls = []
+        reports = steering._reports
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return reports(*args, **kwargs)
+
+        monkeypatch.setattr(steering, "_reports", counted)
+        fixed = None if mode == "symmetric" else sum(FIXED_RANGE[mode][n_quanta]) / 2.0
+        phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
+        threshold_efficiency(n_quanta, phi, which, mode=mode, fixed_value=fixed)
+        assert len(calls) <= 10
+
+    @pytest.mark.parametrize("hug", [None, "lo", "hi", "outside", "nan"])
+    @pytest.mark.parametrize("scale", [0.0, 1e-9, 1e-4])
+    def test_round_bound_holds_where_interpolation_fails(self, monkeypatch, scale, hug):
+        # a monotone E with a (near-)step at the crossing: E = 1.5 below it and
+        # 0.5 above it, so inverse interpolation has little to go on; with
+        # ``hug`` set, every estimate sits just inside one end of the bracket,
+        # just outside it, or is nan
+        root, bracket = 0.8765432101234, (0.5, 1.0)
+
+        def e_of(eta):
+            if scale == 0.0:
+                return 1.5 if eta <= root else 0.5
+            return 1.0 - 0.5 * math.tanh((eta - root) / scale) - 0.01 * (eta - root)
+
+        calls = []
+
+        def stepped(n_quanta, phi, channels, which):
+            calls.append(len(channels))
+            if len(calls) > 200:
+                raise RuntimeError("the solve did not converge")
+            return [SimpleNamespace(E=e_of(channel.eta_b)) for channel in channels]
+
+        def hugging(points):
+            lo = max(eta for eta, e in points if e >= 1.0)
+            hi = min(eta for eta, e in points if e < 1.0)
+            offsets = {"lo": (lo, 1e-3), "hi": (hi, -1e-3), "outside": (hi, 1e-3), "nan": (lo, math.nan)}
+            end, offset = offsets[hug]
+            return end + offset * (hi - lo)
+
+        monkeypatch.setattr(steering, "_reports", stepped)
+        if hug:
+            monkeypatch.setattr(steering, "_inverse_estimate", hugging)
+        eta = threshold_efficiency(1, 0.0, "p", bracket=bracket, width=THRESHOLD_WIDTH)
+        thirds = math.ceil(math.log((bracket[1] - bracket[0]) / 6 / THRESHOLD_WIDTH, 3))
+        # an estimate outside the bracket is never probed: each round cuts it to a third
+        assert len(calls) - 1 <= (thirds if hug in ("outside", "nan") else 2 * thirds + 1)
+        assert calls[0] == 7 and all(size <= 2 for size in calls[1:])
+        assert e_of(eta - THRESHOLD_WIDTH / 2) >= 1.0 > e_of(eta + THRESHOLD_WIDTH / 2)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"width": float("nan")},
+            {"width": float("inf")},
+            {"width": -1e-6},
+            {"bracket": (float("nan"), 1.0)},
+            {"bracket": (0.5, float("inf"))},
+            {"bracket": (-0.1, 1.0)},
+            {"bracket": (0.5, 1.5)},
+            {"bracket": (0.9, 0.9)},
+            {"bracket": (1.0, 0.5)},
+        ],
+        ids=["width-nan", "width-inf", "width-negative", "lo-nan", "hi-inf", "lo-below-0",
+             "hi-above-1", "empty", "reversed"],
+    )
+    def test_rejects_bad_width_and_bracket(self, kwargs):
+        with pytest.raises(ValueError, match="threshold (width|bracket)"):
+            threshold_efficiency(1, 0.0, "p", **kwargs)
 
 
 def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 1.0), width=1e-6):
@@ -176,9 +294,9 @@ def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 
 
 
 def threshold_outcome(solve, n_quanta, phi, mode, fixed_value):
-    """The hex of eta*, or the error class."""
+    """eta*, or the name of the error class."""
     try:
-        return float(solve(n_quanta, phi, "p", mode=mode, fixed_value=fixed_value)).hex()
+        return float(solve(n_quanta, phi, "p", mode=mode, fixed_value=fixed_value))
     except NoonSteerError as exc:
         return type(exc).__name__
 
@@ -367,6 +485,21 @@ class TestProtocolCombination:
             rtol=0,
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda phi: protocol_rhs(1, phi, LOSSLESS),
+        lambda phi: inferred_commutator_modulus(1, phi, LOSSLESS),
+        lambda phi: conditional_quadrature_moment(1, phi, LOSSLESS, 1, 0.3),
+    ],
+    ids=["protocol_rhs", "inferred_commutator_modulus", "conditional_quadrature_moment"],
+)
+def test_non_finite_phase_is_refused(evaluate, phi):
+    with pytest.raises(ValueError, match="phase must be finite"):
+        evaluate(phi)
 
 
 class TestProtocolRhs:
