@@ -22,8 +22,6 @@ from .fock import (
     position_wavefunction,
 )
 from .inferred import (
-    InferredMoments,
-    compute_inferred_moments,
     conditional_quadrature_moment,
     inferred_commutator_modulus,
     inferred_number_variance,

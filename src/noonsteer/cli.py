@@ -16,13 +16,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
 
 from .errors import InsufficientBinOccupancy, NondiscriminatingPhase, NoonSteerError
 from .lossy import LossChannel
 from .sampling import estimate_steering
 from .steering import (
-    SweepRow,
     caption_phase,
     protocol_rhs,
     steering_functional,
@@ -85,39 +83,6 @@ def parse_phase(text: str) -> float:
         raise UsageError(1, f"error: cannot parse phase {text!r}") from exc
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: every field round-trips through to_dict()."""
-
-    command: str
-    n_quanta: int = 1
-    phi_text: str = "0"
-    phi: float = 0.0
-    eta_a: float = 1.0
-    eta_b: float = 1.0
-    criterion: str = "p"
-    shots: int = 1_000_000
-    seed: int = 0
-    bins: int = 40
-    fmt: str = "json"
-    output: str | None = None
-    preset: str | None = None
-    grid_start: float = 0.8
-    grid_stop: float = 1.0
-    grid_step: float = 0.01
-    grid_2d: bool = False
-    threshold_mode: str = "symmetric"
-    threshold_fixed: float | None = None
-    shot_log: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunConfig":
-        return cls(**payload)
-
-
 def _fmt_value(value) -> str:
     if value is None:
         return ""
@@ -128,19 +93,21 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _row_payload(row: SweepRow) -> dict:
+def _row(report, eta_a: float, eta_b: float, **extra) -> dict:
+    """One output row from a SteeringReport or SweepRow: the SWEEP_COLUMNS
+    before ``error``, then ``extra``."""
     return {
-        "N": row.n_quanta,
-        "phi": row.phi,
-        "eta_a": row.eta_a,
-        "eta_b": row.eta_b,
-        "criterion": row.which,
-        "var_number": row.var_number,
-        "var_quadN": row.var_quadrature_n,
-        "commutator": row.commutator_modulus,
-        "E": row.E,
-        "violated": row.violated,
-        "error": row.error,
+        "N": report.n_quanta,
+        "phi": report.phi,
+        "eta_a": eta_a,
+        "eta_b": eta_b,
+        "criterion": report.which,
+        "var_number": report.var_number,
+        "var_quadN": report.var_quadrature_n,
+        "commutator": report.commutator_modulus,
+        "E": report.E,
+        "violated": report.violated,
+        **extra,
     }
 
 
@@ -170,30 +137,11 @@ def _emit(text: str, output: str | None):
     sys.stderr.write(f"wrote {path}\n")
 
 
-def _channel(config: RunConfig) -> LossChannel:
-    return LossChannel(config.eta_a, config.eta_b)
-
-
-def cmd_eval(config: RunConfig) -> int:
-    report = steering_functional(config.n_quanta, config.phi, _channel(config), config.criterion)
-    payload = {
-        "N": report.n_quanta,
-        "phi": report.phi,
-        "eta_a": report.channel.eta_a,
-        "eta_b": report.channel.eta_b,
-        "criterion": report.which,
-        "var_number": report.var_number,
-        "var_quadN": report.var_quadrature_n,
-        "commutator": report.commutator_modulus,
-        "E": report.E,
-        "violated": report.violated,
-        "protocol_rhs": (
-            protocol_rhs(config.n_quanta, config.phi, _channel(config), config.criterion)
-            if config.n_quanta <= 3
-            else None
-        ),
-    }
-    _emit(render_rows([payload], config.fmt), config.output)
+def cmd_eval(args, phi: float) -> int:
+    channel = LossChannel(args.eta_a, args.eta_b)
+    report = steering_functional(args.n, phi, channel, args.criterion)
+    rhs = protocol_rhs(args.n, phi, channel, args.criterion) if args.n <= 3 else None
+    _emit(render_rows([_row(report, channel.eta_a, channel.eta_b, protocol_rhs=rhs)], args.fmt), args.output)
     return 0
 
 
@@ -211,62 +159,50 @@ def _grid_values(start: float, stop: float, step: float, axes: int = 1) -> list[
     return [round(start + i * step, 12) for i in range(round(steps) + 1)]
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    if config.preset == "fig1":
-        rows = sweep(
-            range(1, 6),
-            caption_phase,
-            "p",
-            symmetric=_grid_values(0.80, 1.00, 0.005),
-        )
-    elif config.preset == "fig2":
+def cmd_sweep(args, phi: float) -> int:
+    if args.preset == "fig1":
+        rows = sweep(range(1, 6), caption_phase, "p", symmetric=_grid_values(0.80, 1.00, 0.005))
+    elif args.preset == "fig2":
         grid = _grid_values(0.80, 1.00, 0.005)
         rows = sweep([2], math.pi / 2.0, "p", eta_a_values=grid, eta_b_values=grid)
-    elif config.grid_2d:
-        grid = _grid_values(config.grid_start, config.grid_stop, config.grid_step, axes=2)
-        rows = sweep(
-            [config.n_quanta], config.phi, config.criterion,
-            eta_a_values=grid, eta_b_values=grid,
-        )
+    elif args.grid_2d:
+        grid = _grid_values(args.start, args.stop, args.step, axes=2)
+        rows = sweep([args.n], phi, args.criterion, eta_a_values=grid, eta_b_values=grid)
     else:
-        rows = sweep(
-            [config.n_quanta], config.phi, config.criterion,
-            symmetric=_grid_values(config.grid_start, config.grid_stop, config.grid_step),
-        )
-    _emit(render_rows([_row_payload(r) for r in rows], config.fmt), config.output)
+        rows = sweep([args.n], phi, args.criterion, symmetric=_grid_values(args.start, args.stop, args.step))
+    _emit(render_rows([_row(r, r.eta_a, r.eta_b, error=r.error) for r in rows], args.fmt), args.output)
     return 0
 
 
-def cmd_threshold(config: RunConfig) -> int:
-    eta_star = threshold_efficiency(
-        config.n_quanta,
-        config.phi,
-        config.criterion,
-        mode=config.threshold_mode,
-        fixed_value=config.threshold_fixed,
-    )
+def cmd_threshold(args, phi: float) -> int:
+    mode, fixed = "symmetric", None
+    if args.fix_eta_a is not None:
+        mode, fixed = "fix_eta_a", args.fix_eta_a
+    elif args.fix_eta_b is not None:
+        mode, fixed = "fix_eta_b", args.fix_eta_b
+    eta_star = threshold_efficiency(args.n, phi, args.criterion, mode=mode, fixed_value=fixed)
     payload = {
-        "N": config.n_quanta,
-        "phi": config.phi,
-        "criterion": config.criterion,
-        "mode": config.threshold_mode,
-        "fixed": config.threshold_fixed,
+        "N": args.n,
+        "phi": phi,
+        "criterion": args.criterion,
+        "mode": mode,
+        "fixed": fixed,
         "eta_star": float(f"{eta_star:.6f}"),
     }
-    _emit(render_rows([payload], config.fmt), config.output)
+    _emit(render_rows([payload], args.fmt), args.output)
     return 0
 
 
-def cmd_sample(config: RunConfig) -> int:
+def cmd_sample(args, phi: float) -> int:
     estimate = estimate_steering(
-        config.n_quanta,
-        config.phi,
-        _channel(config),
-        config.criterion,
-        shots=config.shots,
-        bins=config.bins,
-        seed=config.seed,
-        shot_log=config.shot_log,
+        args.n,
+        phi,
+        LossChannel(args.eta_a, args.eta_b),
+        args.criterion,
+        shots=args.shots,
+        bins=args.bins,
+        seed=args.seed,
+        shot_log=args.shot_log,
     )
     payload = {
         "N": estimate.n_quanta,
@@ -286,7 +222,7 @@ def cmd_sample(config: RunConfig) -> int:
         "commutator": estimate.commutator_modulus.value,
         "commutator_stderr": estimate.commutator_modulus.stderr,
     }
-    _emit(render_rows([payload], config.fmt), config.output)
+    _emit(render_rows([payload], args.fmt), args.output)
     return 0
 
 
@@ -294,7 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noonsteer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--n", type=int, default=1, help="number of quanta N")
         p.add_argument("--phi", default="0", help="phase: decimal or e.g. pi/2")
         p.add_argument("--eta-a", type=float, default=1.0)
@@ -302,12 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--criterion", choices=["x", "p"], default="p")
         p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
         p.add_argument("--output", "-o", default=None, help="file instead of stdout")
+        return p
 
-    p_eval = sub.add_parser("eval", help="one steering evaluation")
-    common(p_eval)
+    command("eval", cmd_eval, "one steering evaluation")
 
-    p_sweep = sub.add_parser("sweep", help="efficiency-grid sweep")
-    common(p_sweep)
+    p_sweep = command("sweep", cmd_sweep, "efficiency-grid sweep")
     p_sweep.set_defaults(fmt="csv")
     p_sweep.add_argument("--preset", choices=["fig1", "fig2"], default=None)
     p_sweep.add_argument("--start", type=float, default=0.8)
@@ -315,15 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--step", type=float, default=0.01)
     p_sweep.add_argument("--grid-2d", action="store_true", help="full (eta_a, eta_b) product grid")
 
-    p_thr = sub.add_parser("threshold", help="efficiency at which E crosses 1")
-    common(p_thr)
+    p_thr = command("threshold", cmd_threshold, "efficiency at which E crosses 1")
     group = p_thr.add_mutually_exclusive_group()
     group.add_argument("--symmetric", action="store_true", default=True)
     group.add_argument("--fix-eta-a", type=float, default=None)
     group.add_argument("--fix-eta-b", type=float, default=None)
 
-    p_sample = sub.add_parser("sample", help="shot-level Monte Carlo estimate")
-    common(p_sample)
+    p_sample = command("sample", cmd_sample, "shot-level Monte Carlo estimate")
     p_sample.add_argument("--shots", type=int, default=1_000_000)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument(
@@ -338,49 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args) -> RunConfig:
-    mode, fixed = "symmetric", None
-    if getattr(args, "fix_eta_a", None) is not None:
-        mode, fixed = "fix_eta_a", args.fix_eta_a
-    elif getattr(args, "fix_eta_b", None) is not None:
-        mode, fixed = "fix_eta_b", args.fix_eta_b
-    return RunConfig(
-        command=args.command,
-        n_quanta=args.n,
-        phi_text=args.phi,
-        phi=parse_phase(args.phi),
-        eta_a=args.eta_a,
-        eta_b=args.eta_b,
-        criterion=args.criterion,
-        shots=getattr(args, "shots", 1_000_000),
-        seed=getattr(args, "seed", 0),
-        bins=getattr(args, "bins", 40),
-        fmt=args.fmt,
-        output=args.output,
-        preset=getattr(args, "preset", None),
-        grid_start=getattr(args, "start", 0.8),
-        grid_stop=getattr(args, "stop", 1.0),
-        grid_step=getattr(args, "step", 0.01),
-        grid_2d=getattr(args, "grid_2d", False),
-        threshold_mode=mode,
-        threshold_fixed=fixed,
-        shot_log=getattr(args, "shot_log", None),
-    )
-
-
-_COMMANDS = {
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "threshold": cmd_threshold,
-    "sample": cmd_sample,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return args.handler(args, parse_phase(args.phi))
     except UsageError as exc:
         sys.stderr.write(exc.message + "\n")
         return exc.code
@@ -390,7 +286,7 @@ def main(argv=None) -> int:
     except InsufficientBinOccupancy as exc:
         sys.stderr.write(f"insufficient bin occupancy: {exc}\n")
         return 3
-    except (NoonSteerError, ValueError) as exc:
+    except (NoonSteerError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

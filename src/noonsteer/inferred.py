@@ -18,7 +18,6 @@ the X quadrature on a infers every quadrature-power quantity on b.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,24 +45,6 @@ def _norm_which(which: str) -> str:
     if w not in ("x", "p"):
         raise ValueError(f"criterion must be 'x' or 'p', got {which!r}")
     return w
-
-
-@dataclass(frozen=True)
-class InferredMoments:
-    """The three ingredients of one steering evaluation."""
-
-    n_quanta: int
-    phi: float
-    channel: LossChannel
-    which: str
-    var_number: float
-    var_quadrature_n: float
-    commutator_modulus: float
-
-    def __post_init__(self):
-        for name in ("var_number", "var_quadrature_n", "commutator_modulus"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +79,6 @@ def overlap_abs_integral(n_quanta: int) -> float:
 def _ladders(n_quanta: int, etas) -> np.ndarray:
     """Binomial survival ladders, one row per efficiency: shape (C, N+1)."""
     return np.array([binomial_ladder(n_quanta, eta) for eta in etas])
-
-
-def _channel_list(channel) -> list[LossChannel]:
-    return [channel] if isinstance(channel, LossChannel) else list(channel)
 
 
 def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
@@ -164,7 +141,7 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     float, or a sequence of them, giving an array: their integrands share one
     batched ``integrate`` call, and each entry equals the one-channel value bit
     for bit."""
-    channels = _channel_list(channel)
+    channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, _ = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     _, second = _moment_numerators(n_quanta, phi, channels, which, 2 * n_quanta)
 
@@ -235,32 +212,6 @@ def inferred_commutator_modulus(
         * damping
         * overlap_abs_integral(n_quanta)
     )
-
-
-def compute_inferred_moments(n_quanta: int, phi: float, channel, which: str = "p"):
-    """The three steering ingredients for one channel, or a list of them for
-    a sequence of channels (one batched variance integral).
-
-    Every commutator modulus is formed first, so an unsupported order is
-    reported before any quadrature runs.
-    """
-    which = _norm_which(which)
-    channels = _channel_list(channel)
-    moduli = [inferred_commutator_modulus(n_quanta, phi, ch, which) for ch in channels]
-    var_quad = inferred_variance_quadrature(n_quanta, phi, channels, which)
-    moments = [
-        InferredMoments(
-            n_quanta=n_quanta,
-            phi=phi,
-            channel=ch,
-            which=which,
-            var_number=inferred_number_variance(n_quanta, ch),
-            var_quadrature_n=float(v),
-            commutator_modulus=modulus,
-        )
-        for ch, v, modulus in zip(channels, var_quad, moduli)
-    ]
-    return moments[0] if isinstance(channel, LossChannel) else moments
 
 
 # -- matrix route --------------------------------------------------------------

@@ -18,6 +18,16 @@ from .errors import ConvergenceFailure
 
 DEFAULT_HALF_WIDTH = 12.0
 
+#: Gauss-Legendre nodes per panel.
+PANEL_ORDER = 10
+
+#: ``integrate`` keeps a value once it moves by at most ABS_TOL + REL_TOL |value|
+#: from the level before, and raises ConvergenceFailure after MAX_REFINEMENTS
+#: panel doublings.
+ABS_TOL = 1e-9
+REL_TOL = 1e-12
+MAX_REFINEMENTS = 14
+
 #: A batched ``integrate`` call stops refining, and raises ConvergenceFailure,
 #: once rows x nodes would pass this many values (4 MB per working array), so
 #: one stalled row cannot inflate a whole batch; callers re-run such a batch
@@ -33,10 +43,9 @@ class QuadratureGrid:
     weights: np.ndarray = field(repr=False)
     domain: tuple[float, float]
     panels: int
-    order: int
 
     def refined(self) -> "QuadratureGrid":
-        return build_grid(self.domain, panels=2 * self.panels, order=self.order)
+        return build_grid(self.domain, panels=2 * self.panels)
 
 
 @lru_cache(maxsize=None)
@@ -49,41 +58,35 @@ def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def build_grid(domain: tuple[float, float], panels: int = 48, order: int = 10) -> QuadratureGrid:
+def build_grid(domain: tuple[float, float], panels: int = 48) -> QuadratureGrid:
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("empty integration domain")
-    base_x, base_w = _base_rule(order)
+    base_x, base_w = _base_rule(PANEL_ORDER)
     edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
     weights = (half[:, None] * base_w[None, :]).ravel()
-    return QuadratureGrid(nodes=nodes, weights=weights, domain=(lo, hi), panels=panels, order=order)
+    return QuadratureGrid(nodes=nodes, weights=weights, domain=(lo, hi), panels=panels)
 
 
-def default_grid(half_width: float = DEFAULT_HALF_WIDTH) -> QuadratureGrid:
-    return build_grid((-half_width, half_width))
+def default_grid() -> QuadratureGrid:
+    return build_grid((-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH))
 
 
-def integrate(
-    f,
-    grid: QuadratureGrid | None = None,
-    *,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-12,
-    max_refinements: int = 14,
-) -> float | np.ndarray:
+def integrate(f, grid: QuadratureGrid | None = None) -> float | np.ndarray:
     """Integrate a vectorized real function, refining until stable.
 
     ``f`` is called with the ndarray of nodes. It returns either values of
     the same shape, and the integral comes back as a float, or shape
     (C, nodes) for C integrands at once, and a length-C array comes back.
     Each row keeps the value of the first level at which it agrees with the
-    level before within ``abs_tol + rel_tol * |value|``, and each row is summed
+    level before within ``ABS_TOL + REL_TOL * |value|``, and each row is summed
     on its own, so a row's result does not depend on the rows beside it.
-    Raises ConvergenceFailure if panel doubling stalls above tolerance for
-    any row (at once for a non-finite value), or if a batch outgrows ``BATCH_VALUE_BUDGET``.
+    Raises ConvergenceFailure if ``MAX_REFINEMENTS`` panel doublings leave
+    any row above tolerance (at once for a non-finite value), or if a batch
+    outgrows ``BATCH_VALUE_BUDGET``.
     """
     if grid is None:
         grid = default_grid()
@@ -91,7 +94,7 @@ def integrate(
     result = np.empty_like(previous)
     pending = np.ones(previous.shape, dtype=bool)
     delta = np.full(previous.shape, np.inf)
-    for _ in range(max_refinements):
+    for _ in range(MAX_REFINEMENTS):
         grid = grid.refined()
         if previous.size > 1 and previous.size * grid.nodes.size > BATCH_VALUE_BUDGET:
             raise ConvergenceFailure(
@@ -102,7 +105,7 @@ def integrate(
         delta = np.abs(current - previous)
         if not np.isfinite(delta[pending]).all():
             raise ConvergenceFailure(f"integral is not finite at panels={grid.panels}")
-        converged = pending & (delta <= abs_tol + rel_tol * np.abs(current))
+        converged = pending & (delta <= ABS_TOL + REL_TOL * np.abs(current))
         result[converged] = current[converged]
         pending &= ~converged
         if not pending.any():
@@ -142,27 +145,22 @@ def _sign_change_points(f, domain, scan_points):
     return sorted(set(cuts))
 
 
-def integrate_abs(
-    f,
-    domain: tuple[float, float] = (-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH),
-    *,
-    scan_points: int = 2049,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-12,
-) -> float:
-    """Integral of |f| for piecewise-smooth f with finitely many sign changes.
+def integrate_abs(f) -> float:
+    """Integral of |f| over [-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH] for
+    piecewise-smooth f with finitely many sign changes.
 
-    The domain is split at the detected zeros so each segment is smooth; the
-    segment integrals are taken in absolute value and summed. Deterministic
+    The domain is split at the zeros found on a 2049-point scan, so each
+    segment is smooth; the segment integrals (``integrate`` on each, with its
+    tolerances) are taken in absolute value and summed. Deterministic
     left-to-right summation order.
     """
-    cuts = _sign_change_points(f, domain, scan_points)
+    domain = (-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH)
+    cuts = _sign_change_points(f, domain, 2049)
     edges = [domain[0], *cuts, domain[1]]
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo < 1e-13:
             continue
         panels = max(8, int(np.ceil(2.0 * (hi - lo))))
-        seg_grid = build_grid((lo, hi), panels=panels, order=10)
-        total += abs(integrate(f, seg_grid, abs_tol=abs_tol, rel_tol=rel_tol))
+        total += abs(integrate(f, build_grid((lo, hi), panels=panels)))
     return total

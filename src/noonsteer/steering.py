@@ -27,11 +27,12 @@ from .errors import (
 )
 from .fock import OBSERVABLE_THETA, homodyne_combination, operator_matrix
 from .inferred import (
+    _norm_which,
     check_commutator_order,
     check_finite_phase,
     commutator_phase_factor,
-    compute_inferred_moments,
     inferred_commutator_modulus,
+    inferred_number_variance,
     inferred_variance_quadrature,
     overlap_abs_integral,
 )
@@ -119,25 +120,27 @@ def _screen(n_quanta: int, channel: LossChannel):
 
 
 def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str):
-    """Steering reports for screened channels, one batched variance integral."""
+    """Steering reports for screened channels. Every commutator modulus is
+    formed first, so an unsupported order is reported before any quadrature
+    runs; the variance integrals then share one batched ``integrate`` call."""
+    which = _norm_which(which)
+    moduli = [inferred_commutator_modulus(n_quanta, phi, channel, which) for channel in channels]
+    var_quad = inferred_variance_quadrature(n_quanta, phi, channels, which)
     reports = []
-    for moments in compute_inferred_moments(n_quanta, phi, channels, which):
-        e_value = (
-            2.0
-            * math.sqrt(moments.var_number * moments.var_quadrature_n)
-            / moments.commutator_modulus
-        )
+    for channel, var_q, modulus in zip(channels, var_quad, moduli):
+        values = {
+            "var_number": inferred_number_variance(n_quanta, channel),
+            "var_quadrature_n": float(var_q),
+            "commutator_modulus": modulus,
+        }
+        for name, value in values.items():
+            if value < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        e_value = 2.0 * math.sqrt(values["var_number"] * values["var_quadrature_n"]) / modulus
         reports.append(
             SteeringReport(
-                n_quanta=n_quanta,
-                phi=phi,
-                channel=moments.channel,
-                which=moments.which,
-                var_number=moments.var_number,
-                var_quadrature_n=moments.var_quadrature_n,
-                commutator_modulus=moments.commutator_modulus,
-                E=e_value,
-                violated=bool(e_value < 1.0),
+                n_quanta=n_quanta, phi=phi, channel=channel, which=which, **values,
+                E=e_value, violated=bool(e_value < 1.0),
             )
         )
     return reports

@@ -2,12 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import noonsteer
 from noonsteer.cli import (
-    RunConfig,
     SWEEP_COLUMNS,
     main,
     parse_phase,
@@ -89,14 +92,17 @@ class TestRejectedInputs:
         self.test_exit_one_with_one_line(capsys, argv, message)
         assert time.perf_counter() - started < 1.0
 
-
-class TestRunConfig:
-    def test_round_trip(self):
-        config = RunConfig(
-            command="eval", n_quanta=2, phi_text="pi/2", phi=math.pi / 2,
-            eta_a=0.9, eta_b=0.8, criterion="p", fmt="csv",
+    def test_output_path_is_a_directory(self, capsys, tmp_path):
+        self.test_exit_one_with_one_line(
+            capsys, ["eval", "--output", str(tmp_path)], f"Is a directory: {str(tmp_path)!r}"
         )
-        assert RunConfig.from_dict(config.to_dict()) == config
+
+    def test_shot_log_in_missing_directory(self, capsys, tmp_path):
+        log = tmp_path / "missing" / "shots.csv"
+        self.test_exit_one_with_one_line(
+            capsys, ["sample", "--shots", "100", "--seed", "1", "--shot-log", str(log)],
+            f"No such file or directory: {str(log)!r}",
+        )
 
 
 class TestEval:
@@ -133,6 +139,10 @@ class TestEval:
         _, out, _ = run_cli(capsys, "eval", "--n", "1", "--phi", "0")
         payload = json.loads(out)[0]
         assert payload["protocol_rhs"] == pytest.approx(0.39894, abs=1e-5)
+
+    def test_json_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "eval", "--n", "2", "--phi", "pi/2", "--eta-a", "0.9")
+        assert list(json.loads(out)[0]) == [*SWEEP_COLUMNS[:-1], "protocol_rhs"]
 
 
 class TestSweep:
@@ -219,6 +229,10 @@ class TestThreshold:
         payload = json.loads(out)[0]
         assert payload["eta_star"] == pytest.approx(0.917, abs=0.005)
 
+    def test_json_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "threshold", "--n", "1", "--phi", "0")
+        assert list(json.loads(out)[0]) == ["N", "phi", "criterion", "mode", "fixed", "eta_star"]
+
     def test_fixed_mode_ordering(self, capsys):
         _, out_a, _ = run_cli(capsys, "threshold", "--n", "2", "--phi", "pi/2", "--fix-eta-a", "1.0")
         _, out_b, _ = run_cli(capsys, "threshold", "--n", "2", "--phi", "pi/2", "--fix-eta-b", "1.0")
@@ -237,6 +251,14 @@ class TestSample:
         payload = json.loads(out_a)[0]
         assert abs(payload["E_hat"]) < 0.05
         assert payload["stderr"] > 0.0
+
+    def test_json_key_order(self, capsys):
+        _, out, _ = run_cli(capsys, "sample", "--n", "1", "--phi", "0", "--shots", "1000", "--seed", "1")
+        assert list(json.loads(out)[0]) == [
+            "N", "phi", "eta_a", "eta_b", "criterion", "shots", "seed", "bins", "E_hat", "stderr",
+            "var_number", "var_number_stderr", "var_quadN", "var_quadN_stderr",
+            "commutator", "commutator_stderr",
+        ]
 
     def test_small_run_legal(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--n", "1", "--phi", "0", "--shots", "100", "--seed", "1")
@@ -269,3 +291,30 @@ class TestOutputHandling:
         assert code == 0 and out == ""
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload[0]["E"] == 0.0
+
+
+class TestEntryPoint:
+    """``python -m noonsteer.cli`` runs the same ``sys.exit(main())`` as the
+    ``noonsteer`` console script."""
+
+    @staticmethod
+    def run_module(tmp_path, *argv):
+        src = os.path.dirname(os.path.dirname(noonsteer.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("NOONSTEER_OUTPUT_DIR", None)
+        return subprocess.run(
+            [sys.executable, "-m", "noonsteer.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_eval_prints_json(self, tmp_path):
+        proc = self.run_module(tmp_path, "eval", "--n", "1", "--phi", "0")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)[0]["E"] == 0.0
+
+    def test_unwritable_output_is_one_line(self, tmp_path):
+        proc = self.run_module(tmp_path, "eval", "--output", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr

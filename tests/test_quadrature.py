@@ -66,12 +66,13 @@ class TestIntegrate:
         value = integrate(lambda x: x**24 * np.exp(-x * x / 2))
         assert value == pytest.approx(double_fact * math.sqrt(2 * math.pi), rel=1e-9)
 
-    def test_convergence_failure(self):
+    def test_convergence_failure(self, monkeypatch):
         def f(x):
             return np.sin(1e5 * x * x)
 
+        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
         with pytest.raises(ConvergenceFailure) as failure:
-            integrate(f, max_refinements=3)
+            integrate(f)
         grids = [default_grid()]
         for _ in range(3):
             grids.append(grids[-1].refined())
@@ -80,14 +81,15 @@ class TestIntegrate:
         assert delta > 0.0
         assert str(failure.value) == f"refinement stalled at panels=384 with last delta {delta:.3e}"
 
-    def test_batch_failure_reports_largest_unconverged_delta(self):
+    def test_batch_failure_reports_largest_unconverged_delta(self, monkeypatch):
         rows = [lambda x: np.sin(1e5 * x * x), gaussian_wave(1.0, 0.0), lambda x: 0.5 * np.sin(1e5 * x * x)]
+        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
         with pytest.raises(ConvergenceFailure) as failure:
-            integrate(lambda x: np.stack([f(x) for f in rows]), max_refinements=3)
+            integrate(lambda x: np.stack([f(x) for f in rows]))
         deltas = []
         for f in rows[::2]:
             with pytest.raises(ConvergenceFailure) as single:
-                integrate(f, max_refinements=3)
+                integrate(f)
             deltas.append(float(str(single.value).split()[-1]))
         assert f"last delta {max(deltas):.3e} (largest of 2 unconverged rows)" in str(failure.value)
 

@@ -1,5 +1,4 @@
 import cmath
-import functools
 import math
 from types import SimpleNamespace
 
@@ -417,9 +416,9 @@ class TestBatchedSweep:
 
     def test_negative_moment_propagates_like_steering_functional(self, monkeypatch):
         bad = LossChannel(0.9, 0.9)
-        real = inferred.inferred_number_variance
+        real = steering.inferred_number_variance
         monkeypatch.setattr(
-            inferred, "inferred_number_variance",
+            steering, "inferred_number_variance",
             lambda n, channel: -1.0 if channel == bad else real(n, channel),
         )
         with pytest.raises(ValueError, match="var_number must be nonnegative"):
@@ -448,7 +447,7 @@ class TestBatchedSweep:
             return perturbed, integral
 
         monkeypatch.setattr(inferred, "_moment_numerators", stalling)
-        monkeypatch.setattr(inferred, "integrate", functools.partial(quadrature.integrate, max_refinements=3))
+        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
         rows = sweep([1], 0.0, "p", symmetric=grid)
         # one call per chunk, then the failed chunk again one row at a time
         assert calls == [32, 9] + [1] * 9
