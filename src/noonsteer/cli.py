@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from functools import cache
 
 from .errors import InsufficientBinOccupancy, NondiscriminatingPhase, NoonSteerError
 from .lossy import LossChannel
@@ -112,14 +113,22 @@ def _row(report, eta_a: float, eta_b: float, **extra) -> dict:
 
 
 def render_rows(rows: list[dict], fmt: str) -> str:
+    """JSON, or CSV formatted a column at a time: a column of floats in one
+    pass, any other column value by value through ``_fmt_value``."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     keys = list(rows[0].keys()) if rows else list(SWEEP_COLUMNS)
     writer.writerow(keys)
-    for row in rows:
-        writer.writerow([_fmt_value(row[k]) for k in keys])
+    columns = []
+    for key in keys:
+        values = [row[key] for row in rows]
+        if set(map(type, values)) == {float}:
+            columns.append([f"{v:.17g}" for v in values])
+        else:
+            columns.append([_fmt_value(v) for v in values])
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
@@ -226,7 +235,10 @@ def cmd_sample(args, phi: float) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on first use and shared by every later call:
+    ``parse_args`` leaves it unchanged and returns a fresh namespace."""
     parser = _Parser(prog="noonsteer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

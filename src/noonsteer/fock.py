@@ -141,9 +141,6 @@ class TwoModeKet:
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
 
 def noon_state(n_quanta: int, phi: float, dim: int | None = None) -> TwoModeKet:
     """NOON state (|N,0> + e^{i phi}|0,N>)/sqrt(2) on a cutoff-``dim`` basis."""

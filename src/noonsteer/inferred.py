@@ -90,25 +90,40 @@ def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
     return px[0] if np.ndim(x) else float(px[0, 0])
 
 
+def _diagonal_integral(n_quanta: int, order: int, ladder_b: np.ndarray) -> np.ndarray:
+    """sum_k ladder_b[k] M_kk for M = (X_theta)^order, one entry per row of
+    ``ladder_b``; the diagonal carries no theta phase."""
+    return sum(ladder_b[:, k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
+
+
 def _moment_numerators(n_quanta, phi, channels, which, order):
     """(x -> (S(x), P(x)), int S dx) for M = (X_theta)^order, with S and P of
     shape (C, len(x)): S(x) = 2 P(x) <M_b>_x = branch_a M_00
     + psi_0^2 sum_k ladder_b[k] M_kk + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N,
     where M_jk = <j|M|k> = e^{i (j - k) theta} R_order(j, k) from the exact
     moment table. As int branch_a = int psi_0^2 = 1 and int psi_0 psi_N = 0,
-    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel."""
+    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel.
+    branch_a M_00 and P depend on eta_a alone: they are formed once per
+    distinct eta_a and gathered onto its rows, which leaves each row's
+    arithmetic that of a one-channel call."""
     check_finite_phase(phi)
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
-    ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
+    distinct_a: dict[float, int] = {}
+    rows = [distinct_a.setdefault(ch.eta_a, len(distinct_a)) for ch in channels]
+    gather = slice(None) if len(distinct_a) == len(rows) else np.array(rows)
+    ladder_a = _ladders(n_quanta, distinct_a)
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
     damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
     m_00 = moment_integral(order, 0, 0)
-    diag_b = sum(ladder_b[:, k] * moment_integral(order, k, k) for k in range(n_quanta + 1))
+    diag_b = _diagonal_integral(n_quanta, order, ladder_b)
     cross = (2.0 * damping * moment_integral(order, 0, n_quanta) * math.cos(n_quanta * theta - phi))[:, None]
 
     def numerators(x):
         branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
-        return branch_a * m_00 + psi0_sq * diag_b[:, None] + cross * psi0_psin, px
+        s = (branch_a * m_00)[gather]
+        s += psi0_sq * diag_b[:, None]
+        s += cross * psi0_psin
+        return s, px[gather]
 
     return numerators, m_00 + diag_b
 
@@ -143,12 +158,15 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     for bit."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, _ = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
-    _, second = _moment_numerators(n_quanta, phi, channels, which, 2 * n_quanta)
+    ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
+    second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
+    half_second = 0.5 * second[:, None]
 
     def integrand(x):
         s_n, px = numerators(x)
-        ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
-        return 0.5 * second[:, None] * px - ratio
+        s_sq = np.square(s_n, out=s_n)
+        ratio = np.divide(s_sq, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
+        return half_second * px - ratio
 
     values = integrate(integrand)
     return float(values[0]) if isinstance(channel, LossChannel) else values

@@ -71,9 +71,6 @@ class TwoModeDensity:
         d = self.dim
         return self.matrix.reshape(d, d, d, d)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 @dataclass(frozen=True)
 class OneModeDensity:
@@ -86,9 +83,6 @@ class OneModeDensity:
         mat = np.asarray(self.matrix, dtype=complex)
         _validate_density(mat, self.dim, "one-mode density")
         object.__setattr__(self, "matrix", mat)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def pure_density(ket: TwoModeKet) -> TwoModeDensity:

@@ -17,7 +17,9 @@ conditional mean, never per shot.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -278,6 +280,8 @@ def estimate_steering(
         raise ValueError(f"sampling needs shots >= 1, got {shots}")
     if bins < 1 or not bin_range[0] < bin_range[1]:
         raise ValueError("binning needs bins >= 1 and bin_range[0] < bin_range[1]")
+    if _is_path(shot_log):
+        _check_log_path(os.fspath(shot_log))
     which = which.lower()
     hom_settings, combo = _homodyne_settings(n_quanta, which)
     settings = [SETTING_NUMBER, *hom_settings]
@@ -399,6 +403,19 @@ def estimate_steering(
 SHOT_LOG_ROUNDS = 1 << 14
 
 
+def _is_path(target) -> bool:
+    return isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+
+
+def _check_log_path(path):
+    """Raise the OSError that opening ``path`` for writing would raise when
+    it names a directory or sits in a missing one, before any shot is drawn."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or os.curdir):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _write_shot_log(target, settings, n_a, n_b, x_by, q_by):
     """One CSV line per shot: setting,outcome_a,outcome_b (9 significant digits).
 
@@ -417,7 +434,7 @@ def _write_shot_log(target, settings, n_a, n_b, x_by, q_by):
             raise ValueError("quadrature outcomes must be finite")
         columns.append((f"{setting_label(name)},%.9g,%.9g\n", x, q))
     rounds = max(out_a.size for _, out_a, _ in columns)
-    own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
+    own = _is_path(target)
     handle = open(target, "w") if own else target
     try:
         handle.write("setting,outcome_a,outcome_b\n")

@@ -10,8 +10,10 @@ import time
 import pytest
 
 import noonsteer
+from noonsteer import sampling
 from noonsteer.cli import (
     SWEEP_COLUMNS,
+    build_parser,
     main,
     parse_phase,
 )
@@ -63,11 +65,12 @@ class TestRejectedInputs:
             (["sweep", "--phi", "nan"], "phi=nan"),
             (["eval", "--phi", "inf"], "phi=inf"),
             (["eval", "--phi", "pi/0"], "'pi/0' divides by zero"),
+            (["eval", "--n", "3", "--phi", "0", "--eta-a", "1e-160", "--eta-b", "1e-160"], "underflows to 0"),
         ],
         ids=[
             "sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0",
             "sample-phi-nan", "eval-phi-nan", "threshold-phi-nan", "sweep-phi-nan", "eval-phi-inf",
-            "eval-phi-pi-over-0",
+            "eval-phi-pi-over-0", "eval-damping-underflow",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, argv, message):
@@ -103,6 +106,36 @@ class TestRejectedInputs:
             capsys, ["sample", "--shots", "100", "--seed", "1", "--shot-log", str(log)],
             f"No such file or directory: {str(log)!r}",
         )
+
+    @pytest.mark.parametrize("where", ["missing/shots.csv", "."], ids=["missing-directory", "directory"])
+    def test_shot_log_path_checked_before_sampling(self, capsys, tmp_path, monkeypatch, where):
+        for name in ("sample_number_pair", "sample_quadrature_pair"):
+            monkeypatch.setattr(sampling, name, lambda *args: pytest.fail("drew shots"))
+        log = tmp_path / where
+        reason = "No such file or directory" if where != "." else "Is a directory"
+        self.test_exit_one_with_one_line(
+            capsys, ["sample", "--shot-log", str(log)], f"{reason}: {str(log)!r}"
+        )
+
+
+class TestParserReuse:
+    def test_one_tree_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_threshold_mode_does_not_leak(self, capsys):
+        _, out, _ = run_cli(capsys, "threshold", "--n", "2", "--phi", "pi/2", "--fix-eta-a", "1.0")
+        assert json.loads(out)[0]["mode"] == "fix_eta_a"
+        _, out, _ = run_cli(capsys, "threshold", "--n", "2", "--phi", "pi/2")
+        payload = json.loads(out)[0]
+        assert (payload["mode"], payload["fixed"]) == ("symmetric", None)
+
+    def test_sweep_format_default_does_not_leak(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--n", "1", "--phi", "0", "--start", "0.9", "--stop", "1", "--step", "0.05"
+        )
+        assert out.startswith(",".join(SWEEP_COLUMNS) + "\n")
+        _, out, _ = run_cli(capsys, "eval", "--n", "1", "--phi", "0")
+        assert json.loads(out)[0]["N"] == 1
 
 
 class TestEval:

@@ -51,6 +51,28 @@ class TestGrid:
             nodes[0] = 0.0
         assert quadrature._base_rule(10)[0] is nodes
 
+    def test_default_levels_are_cached_read_only(self):
+        levels = [default_grid()]
+        while levels[-1].panels < quadrature.CACHED_PANELS:
+            levels.append(levels[-1].refined())
+        for level in levels:
+            fresh = quadrature._panel_rule(*level.domain, level.panels)
+            assert np.array_equal(level.nodes, fresh.nodes) and np.array_equal(level.weights, fresh.weights)
+            for values in (level.nodes, level.weights):
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+            assert build_grid(level.domain, panels=level.panels) is level
+
+    def test_level_cache_stays_bounded(self):
+        default_grid()
+        size = quadrature._default_level.cache_info().currsize
+        for lo in np.linspace(-11.5, 11.0, 20):  # integrate_abs-style segments
+            segment = build_grid((lo, 12.0), panels=8)
+            assert segment.nodes.flags.writeable and build_grid((lo, 12.0), panels=8) is not segment
+        fine = build_grid((-12.0, 12.0), panels=2 * quadrature.CACHED_PANELS)
+        assert fine.nodes.flags.writeable
+        assert quadrature._default_level.cache_info().currsize == size
+
 
 class TestIntegrate:
     def test_gaussian(self):

@@ -406,6 +406,45 @@ class TestBatchedSweep:
         assert errors[(17, 1.0)][0] == "OutOfSupportedOrder"
         assert (6, 1.0) not in errors and (1, 0.6) not in errors
 
+    def test_chunk_mixing_shared_and_distinct_eta_a_matches_bit_for_bit(self):
+        # 3 x 12 points: the first chunk holds 12 + 12 + 8 rows of three eta_a
+        # values, the second the last 4 rows of one
+        eta_a = [0.97, 0.83, 0.91]
+        eta_b = [round(0.8 + 0.017 * i, 3) for i in range(12)]
+        rows = sweep([2], math.pi / 2, "p", eta_a_values=eta_a, eta_b_values=eta_b)
+        assert len(rows) == 36 > steering.SWEEP_CHUNK
+        for row in rows:
+            assert row_outcome(row) == point_outcome(2, math.pi / 2, row.eta_a, row.eta_b, "p")
+
+    @pytest.mark.parametrize("n_quanta,phi,which", [(2, math.pi / 2, "p"), (3, math.pi / 4, "x")])
+    def test_fixed_eta_a_channel_set_matches_bit_for_bit(self, n_quanta, phi, which):
+        # the channels of a fix_eta_a threshold round: every row shares eta_a
+        channels = [LossChannel(0.97, eta) for eta in np.linspace(0.5, 1.0, 7)]
+        reports = steering._reports(n_quanta, phi, channels, which)
+        for channel, report in zip(channels, reports):
+            assert report == steering_functional(n_quanta, phi, channel, which)
+
+    @pytest.mark.parametrize("n_quanta,eta", [(3, 1e-160), (5, 1e-70)])
+    def test_underflowing_damping_is_a_degenerate_channel(self, n_quanta, eta):
+        # eta_a eta_b > 0, but (eta_a eta_b)^(N/2) underflows to 0.0
+        with pytest.raises(DegenerateChannel, match="underflows"):
+            steering_functional(n_quanta, 0.0, LossChannel(eta, eta), "p")
+        rows = sweep([n_quanta], 0.0, "p", symmetric=[eta, 0.5])
+        assert rows[0].error.startswith("DegenerateChannel: (eta_a eta_b)^(N/2) underflows")
+        assert rows[1].error is None
+        assert row_outcome(rows[1]) == point_outcome(n_quanta, 0.0, 0.5, 0.5, "p")
+
+    def test_underflowing_modulus_is_a_degenerate_channel(self):
+        # the damping is nonzero, but a phase factor near its zero takes the
+        # modulus below the smallest float
+        phi, tiny = math.pi / 2 - 1e-6, LossChannel(1e-107, 1e-107)
+        with pytest.raises(DegenerateChannel, match="modulus underflows"):
+            steering_functional(3, phi, tiny, "p")
+        rows = sweep([3], phi, "p", symmetric=[1e-107, 0.5, 0.9])
+        assert rows[0].error.startswith("DegenerateChannel: the commutator modulus underflows")
+        want = [point_outcome(3, phi, eta, eta, "p") for eta in (0.5, 0.9)]
+        assert [row_outcome(r) for r in rows[1:]] == want
+
     def test_lossy_order_is_refused_before_any_quadrature(self):
         # an unsupported lossy order is refused even where the wavefunction
         # order is out of range too
