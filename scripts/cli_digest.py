@@ -2,7 +2,7 @@
 """Fingerprint the CLI's output: one sha256 per invocation, then a total.
 
     python3 scripts/cli_digest.py            # every digest, then the total
-    python3 scripts/cli_digest.py --total    # the total only
+    python3 scripts/cli_digest.py | tail -1  # the total only
 
 Runs a fixed list of ``noonsteer`` invocations in this process through
 ``cli.main``: eval, sweep, threshold and sample in JSON and CSV, both figure
@@ -13,7 +13,6 @@ written elsewhere. Run it at two commits to show a change leaves every output
 byte as it was: the totals then agree.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -153,11 +152,6 @@ def run(argv: list[str]) -> bytes:
 
 
 def main():
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--total", action="store_true", help="print only the total digest")
-    args = parser.parse_args()
     os.environ.pop(cli.OUTPUT_DIR_ENV, None)
     os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     total = hashlib.sha256()
@@ -169,8 +163,7 @@ def main():
             for argv in calls:
                 digest = hashlib.sha256(run(argv)).hexdigest()
                 total.update(digest.encode())
-                if not args.total:
-                    print(digest, " ".join(argv) or "(no arguments)")
+                print(digest, " ".join(argv) or "(no arguments)")
         finally:
             os.chdir(home)
     print(f"{total.hexdigest()} total of {len(calls)} invocations")

@@ -113,22 +113,14 @@ def _row(report, eta_a: float, eta_b: float, **extra) -> dict:
 
 
 def render_rows(rows: list[dict], fmt: str) -> str:
-    """JSON, or CSV formatted a column at a time: a column of floats in one
-    pass, any other column value by value through ``_fmt_value``."""
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     keys = list(rows[0].keys()) if rows else list(SWEEP_COLUMNS)
     writer.writerow(keys)
-    columns = []
-    for key in keys:
-        values = [row[key] for row in rows]
-        if set(map(type, values)) == {float}:
-            columns.append([f"{v:.17g}" for v in values])
-        else:
-            columns.append([_fmt_value(v) for v in values])
-    writer.writerows(zip(*columns))
+    for row in rows:
+        writer.writerow([_fmt_value(row[k]) for k in keys])
     return buf.getvalue()
 
 

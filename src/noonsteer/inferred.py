@@ -102,16 +102,10 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
     + psi_0^2 sum_k ladder_b[k] M_kk + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N,
     where M_jk = <j|M|k> = e^{i (j - k) theta} R_order(j, k) from the exact
     moment table. As int branch_a = int psi_0^2 = 1 and int psi_0 psi_N = 0,
-    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel.
-    branch_a M_00 and P depend on eta_a alone: they are formed once per
-    distinct eta_a and gathered onto its rows, which leaves each row's
-    arithmetic that of a one-channel call."""
+    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel."""
     check_finite_phase(phi)
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
-    distinct_a: dict[float, int] = {}
-    rows = [distinct_a.setdefault(ch.eta_a, len(distinct_a)) for ch in channels]
-    gather = slice(None) if len(distinct_a) == len(rows) else np.array(rows)
-    ladder_a = _ladders(n_quanta, distinct_a)
+    ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
     damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
     m_00 = moment_integral(order, 0, 0)
@@ -120,10 +114,7 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
 
     def numerators(x):
         branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
-        s = (branch_a * m_00)[gather]
-        s += psi0_sq * diag_b[:, None]
-        s += cross * psi0_psin
-        return s, px[gather]
+        return branch_a * m_00 + psi0_sq * diag_b[:, None] + cross * psi0_psin, px
 
     return numerators, m_00 + diag_b
 
@@ -160,13 +151,11 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     numerators, _ = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
-    half_second = 0.5 * second[:, None]
 
     def integrand(x):
         s_n, px = numerators(x)
-        s_sq = np.square(s_n, out=s_n)
-        ratio = np.divide(s_sq, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
-        return half_second * px - ratio
+        ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
+        return 0.5 * second[:, None] * px - ratio
 
     values = integrate(integrand)
     return float(values[0]) if isinstance(channel, LossChannel) else values

@@ -17,9 +17,8 @@ conditional mean, never per shot.
 
 from __future__ import annotations
 
-import errno
+import contextlib
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -272,7 +271,9 @@ def estimate_steering(
     settings the configuration needs; each setting draws from its own spawned
     substream, so runs are reproducible and mergeable. ``shot_log`` may be a
     path or file object; records are written interleaved in round-robin
-    order as ``setting,outcome_a,outcome_b``.
+    order as ``setting,outcome_a,outcome_b``. A path is opened before any
+    shot is drawn, so one that cannot be written fails at once; an estimate
+    that fails later leaves it empty.
     """
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0: nothing to estimate")
@@ -280,8 +281,14 @@ def estimate_steering(
         raise ValueError(f"sampling needs shots >= 1, got {shots}")
     if bins < 1 or not bin_range[0] < bin_range[1]:
         raise ValueError("binning needs bins >= 1 and bin_range[0] < bin_range[1]")
-    if _is_path(shot_log):
-        _check_log_path(os.fspath(shot_log))
+    own = isinstance(shot_log, (str, bytes)) or hasattr(shot_log, "__fspath__")
+    with open(shot_log, "w") if own else contextlib.nullcontext(shot_log) as log:
+        return _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, log)
+
+
+def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_log):
+    """``estimate_steering`` on checked arguments, with ``shot_log`` None or
+    an open file object."""
     which = which.lower()
     hom_settings, combo = _homodyne_settings(n_quanta, which)
     settings = [SETTING_NUMBER, *hom_settings]
@@ -403,26 +410,13 @@ def estimate_steering(
 SHOT_LOG_ROUNDS = 1 << 14
 
 
-def _is_path(target) -> bool:
-    return isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
-
-
-def _check_log_path(path):
-    """Raise the OSError that opening ``path`` for writing would raise when
-    it names a directory or sits in a missing one, before any shot is drawn."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or os.curdir):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-
-def _write_shot_log(target, settings, n_a, n_b, x_by, q_by):
+def _write_shot_log(handle, settings, n_a, n_b, x_by, q_by):
     """One CSV line per shot: setting,outcome_a,outcome_b (9 significant digits).
 
     Shots are interleaved round-robin: round r holds the r-th shot of every
     setting that has one, in setting order. Number outcomes must be integers
-    and homodyne outcomes finite; anything else raises ValueError before the
-    log is opened.
+    and homodyne outcomes finite; anything else raises ValueError before
+    anything is written to the open file ``handle``.
     """
     n_a, n_b = np.asarray(n_a), np.asarray(n_b)
     if not (np.issubdtype(n_a.dtype, np.integer) and np.issubdtype(n_b.dtype, np.integer)):
@@ -434,19 +428,13 @@ def _write_shot_log(target, settings, n_a, n_b, x_by, q_by):
             raise ValueError("quadrature outcomes must be finite")
         columns.append((f"{setting_label(name)},%.9g,%.9g\n", x, q))
     rounds = max(out_a.size for _, out_a, _ in columns)
-    own = _is_path(target)
-    handle = open(target, "w") if own else target
-    try:
-        handle.write("setting,outcome_a,outcome_b\n")
-        for start in range(0, rounds, SHOT_LOG_ROUNDS):
-            part = slice(start, start + SHOT_LOG_ROUNDS)
-            lines = [
-                [template % pair for pair in zip(out_a[part].tolist(), out_b[part].tolist())]
-                for template, out_a, out_b in columns
-            ]
-            handle.writelines(
-                line for shot_round in zip_longest(*lines) for line in shot_round if line is not None
-            )
-    finally:
-        if own:
-            handle.close()
+    handle.write("setting,outcome_a,outcome_b\n")
+    for start in range(0, rounds, SHOT_LOG_ROUNDS):
+        part = slice(start, start + SHOT_LOG_ROUNDS)
+        lines = [
+            [template % pair for pair in zip(out_a[part].tolist(), out_b[part].tolist())]
+            for template, out_a, out_b in columns
+        ]
+        handle.writelines(
+            line for shot_round in zip_longest(*lines) for line in shot_round if line is not None
+        )

@@ -116,10 +116,6 @@ def _screen(n_quanta: int, channel: LossChannel):
     """The per-channel checks that need no quadrature."""
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0 zeroes the denominator")
-    if math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta == 0.0:
-        raise DegenerateChannel(
-            f"(eta_a eta_b)^(N/2) underflows to 0 at N={n_quanta} and zeroes the denominator"
-        )
     check_commutator_order(n_quanta, channel)
 
 
@@ -130,7 +126,8 @@ def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str)
     which = _norm_which(which)
     moduli = [inferred_commutator_modulus(n_quanta, phi, channel, which) for channel in channels]
     if 0.0 in moduli:
-        # _screen passes a nonzero damping; a phase factor near its zero can still underflow it
+        # eta_a eta_b > 0 passes _screen, but (eta_a eta_b)^(N/2) or a phase
+        # factor near its zero can still take the modulus below the smallest float
         raise DegenerateChannel(f"the commutator modulus underflows to 0 at N={n_quanta}, phi={phi}")
     var_quad = inferred_variance_quadrature(n_quanta, phi, channels, which)
     reports = []

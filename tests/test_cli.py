@@ -65,7 +65,7 @@ class TestRejectedInputs:
             (["sweep", "--phi", "nan"], "phi=nan"),
             (["eval", "--phi", "inf"], "phi=inf"),
             (["eval", "--phi", "pi/0"], "'pi/0' divides by zero"),
-            (["eval", "--n", "3", "--phi", "0", "--eta-a", "1e-160", "--eta-b", "1e-160"], "underflows to 0"),
+            (["eval", "--n", "3", "--phi", "0", "--eta-a", "1e-160", "--eta-b", "1e-160"], "modulus underflows to 0"),
         ],
         ids=[
             "sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0",

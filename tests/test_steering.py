@@ -424,25 +424,19 @@ class TestBatchedSweep:
         for channel, report in zip(channels, reports):
             assert report == steering_functional(n_quanta, phi, channel, which)
 
-    @pytest.mark.parametrize("n_quanta,eta", [(3, 1e-160), (5, 1e-70)])
-    def test_underflowing_damping_is_a_degenerate_channel(self, n_quanta, eta):
-        # eta_a eta_b > 0, but (eta_a eta_b)^(N/2) underflows to 0.0
-        with pytest.raises(DegenerateChannel, match="underflows"):
-            steering_functional(n_quanta, 0.0, LossChannel(eta, eta), "p")
-        rows = sweep([n_quanta], 0.0, "p", symmetric=[eta, 0.5])
-        assert rows[0].error.startswith("DegenerateChannel: (eta_a eta_b)^(N/2) underflows")
-        assert rows[1].error is None
-        assert row_outcome(rows[1]) == point_outcome(n_quanta, 0.0, 0.5, 0.5, "p")
-
-    def test_underflowing_modulus_is_a_degenerate_channel(self):
-        # the damping is nonzero, but a phase factor near its zero takes the
-        # modulus below the smallest float
-        phi, tiny = math.pi / 2 - 1e-6, LossChannel(1e-107, 1e-107)
+    @pytest.mark.parametrize(
+        "n_quanta,phi,eta",
+        [(3, 0.0, 1e-160), (5, 0.0, 1e-70), (3, math.pi / 2 - 1e-6, 1e-107)],
+        ids=["damping-N3", "damping-N5", "phase-factor"],
+    )
+    def test_underflowing_modulus_is_a_degenerate_channel(self, n_quanta, phi, eta):
+        # eta_a eta_b > 0, but (eta_a eta_b)^(N/2), or that times a phase factor
+        # near its zero, takes the modulus below the smallest float
         with pytest.raises(DegenerateChannel, match="modulus underflows"):
-            steering_functional(3, phi, tiny, "p")
-        rows = sweep([3], phi, "p", symmetric=[1e-107, 0.5, 0.9])
+            steering_functional(n_quanta, phi, LossChannel(eta, eta), "p")
+        rows = sweep([n_quanta], phi, "p", symmetric=[eta, 0.5, 0.9])
         assert rows[0].error.startswith("DegenerateChannel: the commutator modulus underflows")
-        want = [point_outcome(3, phi, eta, eta, "p") for eta in (0.5, 0.9)]
+        want = [point_outcome(n_quanta, phi, e, e, "p") for e in (0.5, 0.9)]
         assert [row_outcome(r) for r in rows[1:]] == want
 
     def test_lossy_order_is_refused_before_any_quadrature(self):
