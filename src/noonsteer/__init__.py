@@ -15,9 +15,7 @@ from .errors import (
 )
 from .fock import (
     ModeOperator,
-    TwoModeKet,
     hermite,
-    noon_state,
     operator_matrix,
     position_wavefunction,
 )
@@ -31,7 +29,6 @@ from .inferred import (
 from .lossy import (
     LOSSLESS,
     LossChannel,
-    OneModeDensity,
     TwoModeDensity,
     conditional_density_given_x,
     conditional_number_b,

@@ -293,6 +293,9 @@ def main(argv=None) -> int:
     except (NoonSteerError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError as exc:
+        sys.stderr.write(f"error: out of memory: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimTooSmall, OutOfSupportedOrder, UnsupportedOrder
+from .errors import OutOfSupportedOrder, UnsupportedOrder
 
 #: Highest wavefunction order with a verified overflow-free evaluation.
 SUPPORTED_WAVEFUNCTION_ORDER = 16
@@ -119,41 +119,6 @@ def wavefunction_stack(max_order: int, x: np.ndarray) -> np.ndarray:
     out *= gauss
     out /= _STACK_NORMS[: max_order + 1, None]
     return out
-
-
-@dataclass(frozen=True)
-class TwoModeKet:
-    """Pure two-mode state over the truncated product Fock basis.
-
-    ``amplitudes[n_a, n_b]`` is the coefficient of |n_a>|n_b>; the state must
-    be normalized to 1 within 1e-12.
-    """
-
-    dim: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim, self.dim):
-            raise ValueError(f"amplitudes must have shape ({self.dim}, {self.dim})")
-        object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
-
-
-def noon_state(n_quanta: int, phi: float, dim: int | None = None) -> TwoModeKet:
-    """NOON state (|N,0> + e^{i phi}|0,N>)/sqrt(2) on a cutoff-``dim`` basis."""
-    if n_quanta < 1:
-        raise ValueError("NOON order must be >= 1")
-    if dim is None:
-        dim = n_quanta + 12
-    if dim <= n_quanta:
-        raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
-    amps = np.zeros((dim, dim), dtype=complex)
-    amps[n_quanta, 0] = 1.0 / math.sqrt(2.0)
-    amps[0, n_quanta] = np.exp(1j * phi) / math.sqrt(2.0)
-    return TwoModeKet(dim=dim, amplitudes=amps)
 
 
 @dataclass(frozen=True)

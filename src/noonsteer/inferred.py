@@ -81,10 +81,8 @@ def _ladders(n_quanta: int, etas) -> np.ndarray:
     return np.array([binomial_ladder(n_quanta, eta) for eta in etas])
 
 
-def px_density(n_quanta: int, phi: float, channel: LossChannel, x):
-    """Density of the a-mode X outcome. Independent of phi (kept for symmetry
-    with the other conditional operations)."""
-    del phi
+def px_density(n_quanta: int, channel: LossChannel, x):
+    """Density of the a-mode X outcome; the phase carries no X_a weight."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     _, _, _, px = _branch_profiles(n_quanta, _ladders(n_quanta, [channel.eta_a]), x_arr)
     return px[0] if np.ndim(x) else float(px[0, 0])
@@ -97,12 +95,12 @@ def _diagonal_integral(n_quanta: int, order: int, ladder_b: np.ndarray) -> np.nd
 
 
 def _moment_numerators(n_quanta, phi, channels, which, order):
-    """(x -> (S(x), P(x)), int S dx) for M = (X_theta)^order, with S and P of
+    """(x -> (S(x), P(x)), ladder_b) for M = (X_theta)^order, with S and P of
     shape (C, len(x)): S(x) = 2 P(x) <M_b>_x = branch_a M_00
     + psi_0^2 sum_k ladder_b[k] M_kk + 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N,
     where M_jk = <j|M|k> = e^{i (j - k) theta} R_order(j, k) from the exact
-    moment table. As int branch_a = int psi_0^2 = 1 and int psi_0 psi_N = 0,
-    int S dx = M_00 + sum_k ladder_b[k] M_kk exactly, one entry per channel."""
+    moment table. ``ladder_b`` holds the channels' b-mode ladders, shape
+    (C, N+1), for callers that need other diagonal sums of the same state."""
     check_finite_phase(phi)
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
     ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
@@ -116,7 +114,7 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
         branch_a, psi0_sq, psi0_psin, px = _branch_profiles(n_quanta, ladder_a, x)
         return branch_a * m_00 + psi0_sq * diag_b[:, None] + cross * psi0_psin, px
 
-    return numerators, m_00 + diag_b
+    return numerators, ladder_b
 
 
 def conditional_quadrature_moment(
@@ -141,15 +139,16 @@ def conditional_quadrature_moment(
 def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str = "p"):
     """Average conditional variance of Q_b^N given the a-mode X outcome,
     int (S_2N / 2 - S_N^2 / (4 P)) dx in the terms of ``_moment_numerators``.
-    The S_2N term enters as its exact integral times P(x) (int P = 1): only the
+    The S_2N term enters as its exact integral M_00 + sum_k ladder_b[k] M_kk
+    (int branch_a = int psi_0^2 = 1, int psi_0 psi_N = 0) times P(x), which
+    integrates to 1: only the
     ratio term, finite where P(x) underflows, needs refining, and convergence
     is judged on the variance itself. ``channel`` is one LossChannel, giving a
     float, or a sequence of them, giving an array: their integrands share one
     batched ``integrate`` call, and each entry equals the one-channel value bit
     for bit."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
-    numerators, _ = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
-    ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
+    numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
 
     def integrand(x):
@@ -238,26 +237,21 @@ def density_number_variance(rho: TwoModeDensity) -> float:
     return total
 
 
-def _quadrature_eigenphase(dim: int, theta: float) -> np.ndarray:
-    """Phases e^{-i n theta} mapping Fock rows onto X_theta eigenfunctions."""
-    return np.exp(-1j * theta * np.arange(dim))
+def _quadrature_power(dim: int, theta: float, order: int) -> np.ndarray:
+    """(X_theta)^order on the Fock basis: X^order with entry (j, k) phased by
+    e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a} X e^{-i theta a^dag a}."""
+    levels = np.arange(dim)
+    phase = np.exp(1j * theta * np.subtract.outer(levels, levels))
+    return np.linalg.matrix_power(operator_matrix("x", dim).matrix, order) * phase
 
 
 def density_quadrature_variance(rho: TwoModeDensity, theta: float, order: int) -> float:
-    """Inferred variance of (X_b,theta)^order via explicit conditioning.
-
-    Rotates the conditional block into the X_theta frame so that the plain X
-    moment matrices apply regardless of theta.
-    """
-    x_mat = operator_matrix("x", rho.dim).matrix
-    m_n = np.linalg.matrix_power(x_mat, order)
-    m_2n = np.linalg.matrix_power(x_mat, 2 * order)
-    phases = _quadrature_eigenphase(rho.dim, theta)
-    rotate = np.outer(phases, phases.conj())
+    """Inferred variance of (X_b,theta)^order via explicit conditioning."""
+    m_n = _quadrature_power(rho.dim, theta, order)
+    m_2n = _quadrature_power(rho.dim, theta, 2 * order)
 
     def integrand(x):
         blocks, px = conditioned_b_blocks(rho, x)
-        blocks = blocks * rotate[None, :, :]
         first = np.einsum("xks,sk->x", blocks, m_n).real
         second = np.einsum("xks,sk->x", blocks, m_2n).real
         safe = px > CONDITIONING_FLOOR
@@ -271,13 +265,10 @@ def density_quadrature_variance(rho: TwoModeDensity, theta: float, order: int) -
 def density_conditional_moment(rho: TwoModeDensity, theta: float, order: int, x) -> float:
     """<(X_b,theta)^order>_x from an explicit density, for cross-checks."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    m = np.linalg.matrix_power(operator_matrix("x", rho.dim).matrix, order)
-    phases = _quadrature_eigenphase(rho.dim, theta)
-    rotate = np.outer(phases, phases.conj())
     blocks, px = conditioned_b_blocks(rho, x_arr)
     if np.any(px < CONDITIONING_FLOOR):
         raise ZeroProbabilityConditioning("conditioning density vanished")
-    vals = np.einsum("xks,sk->x", blocks * rotate[None, :, :], m).real / px
+    vals = np.einsum("xks,sk->x", blocks, _quadrature_power(rho.dim, theta, order)).real / px
     return vals if np.ndim(x) else float(vals[0])
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimTooSmall, InvalidOutcome, ZeroProbabilityConditioning
-from .fock import TwoModeKet, noon_state, wavefunction_stack
+from .fock import wavefunction_stack
 
 #: Conditioning probabilities below this declare a failure instead of NaNs.
 CONDITIONING_FLOOR = 1e-300
@@ -44,16 +44,6 @@ class LossChannel:
 LOSSLESS = LossChannel(1.0, 1.0)
 
 
-def _validate_density(matrix: np.ndarray, size: int, what: str):
-    if matrix.shape != (size, size):
-        raise ValueError(f"{what} must be {size} x {size}")
-    trace = complex(np.trace(matrix))
-    if abs(trace - 1.0) > 1e-10:
-        raise ValueError(f"{what} trace {trace} deviates from 1 beyond 1e-10")
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-12:
-        raise ValueError(f"{what} is not Hermitian within 1e-12")
-
-
 @dataclass(frozen=True)
 class TwoModeDensity:
     """Density matrix on the product basis |n_a>|n_b>, index n_a*dim + n_b."""
@@ -63,31 +53,20 @@ class TwoModeDensity:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        _validate_density(mat, self.dim**2, "two-mode density")
+        size = self.dim**2
+        if mat.shape != (size, size):
+            raise ValueError(f"two-mode density must be {size} x {size}")
+        trace = complex(np.trace(mat))
+        if abs(trace - 1.0) > 1e-10:
+            raise ValueError(f"two-mode density trace {trace} deviates from 1 beyond 1e-10")
+        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+            raise ValueError("two-mode density is not Hermitian within 1e-12")
         object.__setattr__(self, "matrix", mat)
 
     def as_tensor(self) -> np.ndarray:
         """Shape (dim, dim, dim, dim): [j_a, k_b, j_a', k_b']."""
         d = self.dim
         return self.matrix.reshape(d, d, d, d)
-
-
-@dataclass(frozen=True)
-class OneModeDensity:
-    """Single-mode density matrix on the truncated Fock basis."""
-
-    dim: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        _validate_density(mat, self.dim, "one-mode density")
-        object.__setattr__(self, "matrix", mat)
-
-
-def pure_density(ket: TwoModeKet) -> TwoModeDensity:
-    vec = ket.amplitudes.ravel()
-    return TwoModeDensity(dim=ket.dim, matrix=np.outer(vec, vec.conj()))
 
 
 def binomial_ladder(n_quanta: int, eta: float) -> np.ndarray:
@@ -100,15 +79,16 @@ def binomial_ladder(n_quanta: int, eta: float) -> np.ndarray:
 def lossy_noon_density(
     n_quanta: int, phi: float, channel: LossChannel, dim: int | None = None
 ) -> TwoModeDensity:
-    """Two-mode density after independent beam-splitter loss on a NOON state."""
+    """Two-mode density after independent beam-splitter loss on a NOON state.
+
+    At ``LOSSLESS`` both ladders are one-hot and the damping is 1, so this is
+    the NOON projector itself, with entries exactly 0.5 and 0.5 e^{-+i phi}."""
     if n_quanta < 1:
         raise ValueError("NOON order must be >= 1")
     if dim is None:
         dim = n_quanta + 12
     if dim <= n_quanta:
         raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
-    if channel.lossless:
-        return pure_density(noon_state(n_quanta, phi, dim))
 
     def idx(na, nb):
         return na * dim + nb
@@ -151,8 +131,9 @@ def conditional_density_given_x(
     channel: LossChannel,
     x: float,
     dim: int | None = None,
-) -> OneModeDensity:
-    """Mode-b density conditioned on measuring X = x on mode a (normalized)."""
+) -> np.ndarray:
+    """Mode-b density matrix conditioned on measuring X = x on mode a
+    (normalized), shape (dim, dim)."""
     if dim is None:
         dim = n_quanta + 12
     if dim <= n_quanta:
@@ -172,7 +153,7 @@ def conditional_density_given_x(
     coherence = damping * psi0_psin
     mat[0, n_quanta] += coherence * np.exp(-1j * phi)
     mat[n_quanta, 0] += coherence * np.exp(1j * phi)
-    return OneModeDensity(dim=dim, matrix=mat / (2.0 * px))
+    return mat / (2.0 * px)
 
 
 def number_marginal_a(n_quanta: int, channel: LossChannel) -> np.ndarray:

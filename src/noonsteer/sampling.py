@@ -36,6 +36,8 @@ SETTING_NUMBER = "number-pair"
 X_TABLE_NODES = 4096
 X_RANGE = (-8.0, 8.0)
 MIN_BIN_OCCUPANCY = 20
+#: Most fine x bins one estimate may ask for, checked before any array is built.
+MAX_BINS = 10**6
 
 
 def setting_label(name: str) -> str:
@@ -67,15 +69,12 @@ class SteeringEstimate:
     commutator_modulus: ComponentEstimate
 
 
-def sample_number_pair(
-    n_quanta: int, phi: float, channel: LossChannel, rng: np.random.Generator, size: int = 1
-):
+def sample_number_pair(n_quanta: int, channel: LossChannel, rng: np.random.Generator, size: int = 1):
     """Joint (n_a, n_b) samples from the lossy NOON number distribution.
 
     The coherence terms carry no number weight, so the joint is an even
-    mixture of the two surviving binomial ladders; phi is irrelevant here.
+    mixture of the two surviving binomial ladders, whatever the phase.
     """
-    del phi
     n_a = np.zeros(size, dtype=np.int64)
     n_b = np.zeros(size, dtype=np.int64)
     a_branch = rng.random(size) < 0.5
@@ -87,7 +86,7 @@ def sample_number_pair(
 @lru_cache(maxsize=None)
 def _x_cdf_table(n_quanta: int, eta_a: float):
     xs = np.linspace(X_RANGE[0], X_RANGE[1], X_TABLE_NODES)
-    dens = px_density(n_quanta, 0.0, LossChannel(eta_a, 1.0), xs)
+    dens = px_density(n_quanta, LossChannel(eta_a, 1.0), xs)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
     return xs, cdf / cdf[-1]
 
@@ -115,20 +114,21 @@ def _envelope_peaks(n_quanta):
 
 
 def _conditional_profile(n_quanta, phi, channel, theta, x):
-    """Per-shot coefficients of the unnormalized conditional density
-    raw(q) = sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q), which integrates to
-    2 P(x), and its bound sum_k ck M_k + |cx| sqrt(M_0 M_N) (``_envelope_peaks``):
+    """Per-shot terms (branch_a, psi0_sq, c_x, bound) of the unnormalized
+    conditional density raw(q) = branch_a psi_0(q)^2
+    + psi0_sq sum_k ladder_b[k] psi_k(q)^2 + c_x psi_0(q) psi_N(q), which
+    integrates to 2 P(x), and of its bound M_0 branch_a
+    + (sum_k ladder_b[k] M_k) psi0_sq + sqrt(M_0 M_N) |c_x| (``_envelope_peaks``):
     as |psi_0 psi_N| / g <= sqrt(M_0 M_N), raw <= bound g at every q.
     """
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
     (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    coeff_diag = np.multiply.outer(binomial_ladder(n_quanta, channel.eta_b), psi0_sq)  # (N+1, nx)
-    coeff_diag[0] += branch_a
-    coeff_cross = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
+    c_x = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
     peaks, _ = _envelope_peaks(n_quanta)
-    bound = peaks @ coeff_diag + math.sqrt(peaks[0] * peaks[n_quanta]) * np.abs(coeff_cross)
-    return coeff_diag, coeff_cross, bound
+    bound = peaks[0] * branch_a + (binomial_ladder(n_quanta, channel.eta_b) @ peaks) * psi0_sq
+    bound += math.sqrt(peaks[0] * peaks[n_quanta]) * np.abs(c_x)
+    return branch_a, psi0_sq, c_x, bound
 
 
 def sample_quadrature_pair(
@@ -143,35 +143,36 @@ def sample_quadrature_pair(
 
     A proposal q ~ g = N(0, sigma^2) is accepted when u bound(x) g(q) <= raw(q)
     (``_conditional_profile``), with probability 2 P(x) / bound(x). As the
-    conditional block is positive, |cx| <= c0 + cN, so that probability is at
-    least 1 / (2 max_k M_k) (about 0.17 at N = 3) and the loop always ends.
+    conditional block is positive, |c_x| <= c_0 + c_N for the coefficients c_k
+    of psi_k^2 in raw, so that probability is at least 1 / (2 max_k M_k)
+    (about 0.17 at N = 3) and the loop always ends.
     """
     if observable not in OBSERVABLE_THETA:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_THETA)}")
     check_finite_phase(phi)
     theta = OBSERVABLE_THETA[observable]
     x = _draw_x(n_quanta, channel, rng, size)
-    coeff_diag, coeff_cross, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
+    branch_a, psi0_sq, c_x, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
+    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
     _, sigma = _envelope_peaks(n_quanta)
     q = np.empty(size)
-    # shots still waiting for an accepted q, their coefficients and bounds,
+    # shots still waiting for an accepted q, their profile terms and bounds,
     # compacted after every round
     pending = np.arange(size)
     while pending.size:
         prop = rng.normal(0.0, sigma, size=pending.size)
         envelope = np.exp(-0.5 * (prop / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
         psi = wavefunction_stack(n_quanta, prop)
-        raw = coeff_cross * psi[0] * psi[n_quanta]
-        raw += np.einsum("kx,kx->x", coeff_diag, np.square(psi, out=psi))
-        del psi  # free the stack before the compaction below copies coeff_diag
+        raw = c_x * psi[0] * psi[n_quanta]
+        psi_sq = np.square(psi, out=psi)
+        raw += branch_a * psi_sq[0] + psi0_sq * (ladder_b @ psi_sq)
+        del psi, psi_sq  # free the stack before the compaction below
         keep = rng.random(pending.size) * bound * envelope <= raw
         hits = np.flatnonzero(keep)
         q[pending[hits]] = prop[hits]
         misses = np.flatnonzero(~keep)
         pending = pending[misses]
-        coeff_diag = coeff_diag.take(misses, axis=1)
-        coeff_cross = coeff_cross[misses]
-        bound = bound[misses]
+        branch_a, psi0_sq, c_x, bound = (v[misses] for v in (branch_a, psi0_sq, c_x, bound))
     return x, q
 
 
@@ -279,8 +280,8 @@ def estimate_steering(
         raise DegenerateChannel("eta_a * eta_b = 0: nothing to estimate")
     if shots < 1:
         raise ValueError(f"sampling needs shots >= 1, got {shots}")
-    if bins < 1 or not bin_range[0] < bin_range[1]:
-        raise ValueError("binning needs bins >= 1 and bin_range[0] < bin_range[1]")
+    if not 1 <= bins <= MAX_BINS or not bin_range[0] < bin_range[1]:
+        raise ValueError(f"binning needs 1 <= bins <= {MAX_BINS} and bin_range[0] < bin_range[1], got bins={bins}")
     own = isinstance(shot_log, (str, bytes)) or hasattr(shot_log, "__fspath__")
     with open(shot_log, "w") if own else contextlib.nullcontext(shot_log) as log:
         return _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, log)
@@ -300,7 +301,7 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
 
     # number-pair shots -> var_number
     rng_num = streams[0]
-    n_a, n_b = sample_number_pair(n_quanta, phi, channel, rng_num, per_setting[SETTING_NUMBER])
+    n_a, n_b = sample_number_pair(n_quanta, channel, rng_num, per_setting[SETTING_NUMBER])
     n_num = n_a.size
     var_n, se2_between, se2_within = 0.0, 0.0, 0.0
     group_vars, group_weights = [], []

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import noonsteer
-from noonsteer import sampling
+from noonsteer import cli, sampling
 from noonsteer.cli import (
     SWEEP_COLUMNS,
     build_parser,
@@ -115,6 +115,22 @@ class TestRejectedInputs:
         reason = "No such file or directory" if where != "." else "Is a directory"
         self.test_exit_one_with_one_line(
             capsys, ["sample", "--shot-log", str(log)], f"{reason}: {str(log)!r}"
+        )
+
+    def test_bins_refused_before_sampling(self, capsys, monkeypatch):
+        monkeypatch.setattr(sampling, "sample_quadrature_pair", lambda *args: pytest.fail("drew shots"))
+        self.test_exit_one_with_one_line(
+            capsys, ["sample", "--n", "1", "--shots", "1000", "--bins", "1000000000"],
+            "bins <= 1000000 and bin_range[0] < bin_range[1], got bins=1000000000",
+        )
+
+    def test_memory_error_is_one_line(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.43 TiB for an array with shape (333333333334,)")
+
+        monkeypatch.setattr(cli, "estimate_steering", exhausted)
+        self.test_exit_one_with_one_line(
+            capsys, ["sample", "--shots", "1000000000000"], "out of memory: Unable to allocate 2.43 TiB"
         )
 
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonsteer.errors import DimTooSmall, OutOfSupportedOrder
+from noonsteer.errors import OutOfSupportedOrder
 from noonsteer.fock import (
     SUPPORTED_WAVEFUNCTION_ORDER,
     hermite,
-    noon_state,
     operator_matrix,
     position_wavefunction,
     wavefunction_stack,
@@ -90,33 +89,6 @@ class TestWavefunctions:
     def test_out_of_supported_order(self):
         with pytest.raises(OutOfSupportedOrder):
             position_wavefunction(SUPPORTED_WAVEFUNCTION_ORDER + 1, 0.0)
-
-
-class TestNoonState:
-    def test_amplitudes_n1(self):
-        ket = noon_state(1, 0.0, dim=4)
-        assert ket.amplitudes[1, 0] == pytest.approx(0.70711, abs=1e-5)
-        assert ket.amplitudes[0, 1] == pytest.approx(0.70711, abs=1e-5)
-
-    def test_phase_n2(self):
-        ket = noon_state(2, math.pi / 2, dim=5)
-        assert ket.amplitudes[0, 2] == pytest.approx(0.70711j, abs=1e-5)
-
-    def test_dim_too_small(self):
-        with pytest.raises(DimTooSmall):
-            noon_state(3, 0.0, dim=3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=5),
-        phi=st.floats(min_value=-math.pi, max_value=math.pi),
-    )
-    def test_norm_and_embedding_invariance(self, n, phi):
-        ket = noon_state(n, phi)
-        assert np.sqrt(np.sum(np.abs(ket.amplitudes) ** 2)) == pytest.approx(1.0, abs=1e-12)
-        bigger = noon_state(n, phi, dim=ket.dim + 5)
-        np.testing.assert_array_equal(bigger.amplitudes[: ket.dim, : ket.dim], ket.amplitudes)
-        assert np.all(bigger.amplitudes[ket.dim :, :] == 0)
 
 
 class TestOperators:

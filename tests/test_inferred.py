@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from noonsteer.errors import UnsupportedOrder, ZeroProbabilityConditioning
 from noonsteer.inferred import (
+    _quadrature_power,
     conditional_quadrature_moment,
     density_conditional_moment,
     density_number_variance,
@@ -19,7 +20,7 @@ from noonsteer.inferred import (
     overlap_abs_integral,
     px_density,
 )
-from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
+from noonsteer.fock import OBSERVABLE_THETA, operator_matrix, wavefunction_stack
 from noonsteer.quadrature import integrate, integrate_abs
 from noonsteer.lossy import (
     CONDITIONING_FLOOR,
@@ -76,17 +77,17 @@ class TestOverlapAbsIntegral:
 
 class TestPxDensity:
     def test_n2_ideal_at_origin(self):
-        assert px_density(2, 0.0, LOSSLESS, 0.0) == pytest.approx(0.29921, abs=1e-5)
+        assert px_density(2, LOSSLESS, 0.0) == pytest.approx(0.29921, abs=1e-5)
 
     def test_n2_ideal_closed_form(self):
         xs = np.linspace(-5, 5, 41)
-        np.testing.assert_allclose(px_density(2, 0.3, LOSSLESS, xs), ideal_px_n2(xs), atol=1e-12)
+        np.testing.assert_allclose(px_density(2, LOSSLESS, xs), ideal_px_n2(xs), atol=1e-12)
 
     @pytest.mark.parametrize("channel", [LOSSLESS, LossChannel(0.7, 0.4)])
     def test_normalized(self, channel):
         from noonsteer.quadrature import integrate
 
-        value = integrate(lambda x: px_density(3, 0.0, channel, x))
+        value = integrate(lambda x: px_density(3, channel, x))
         assert value == pytest.approx(1.0, abs=1e-8)
 
 
@@ -244,6 +245,17 @@ class TestMatrixRoute:
         matrix = density_quadrature_variance(rho, math.pi / 2, 2)
         analytic = inferred_variance_quadrature(2, phi, channel, "p")
         assert matrix == pytest.approx(analytic, abs=1e-8)
+
+    @pytest.mark.parametrize("theta", OBSERVABLE_THETA.values(), ids=OBSERVABLE_THETA.keys())
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_phased_power_is_rotated_quadrature_power(self, theta, order):
+        # the cutoff leaves entries with max(j, k) + order < dim exact
+        dim = 9
+        direct = np.linalg.matrix_power(operator_matrix("x_theta", dim, theta).matrix, order)
+        exact = dim - order
+        np.testing.assert_allclose(
+            _quadrature_power(dim, theta, order)[:exact, :exact], direct[:exact, :exact], rtol=0, atol=1e-13
+        )
 
     def test_zero_probability_guard(self):
         with pytest.raises(ZeroProbabilityConditioning):

@@ -11,7 +11,7 @@ from noonsteer import sampling
 from noonsteer.errors import InsufficientBinOccupancy
 from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
 from noonsteer.inferred import px_density
-from noonsteer.lossy import LOSSLESS, LossChannel
+from noonsteer.lossy import LOSSLESS, LossChannel, binomial_ladder, conditional_density_given_x
 from noonsteer.sampling import (
     MIN_BIN_OCCUPANCY,
     SETTING_NUMBER,
@@ -35,20 +35,20 @@ def rng(seed):
 
 class TestNumberSampling:
     def test_lossless_outcomes(self):
-        n_a, n_b = sample_number_pair(2, 0.0, LOSSLESS, rng(1), 100_000)
+        n_a, n_b = sample_number_pair(2, LOSSLESS, rng(1), 100_000)
         assert set(zip(n_a.tolist(), n_b.tolist())) <= {(2, 0), (0, 2)}
         freq = float((n_a == 2).mean())
         sigma = math.sqrt(0.25 / 100_000)
         assert abs(freq - 0.5) < 3 * sigma
 
     def test_half_loss_marginal(self):
-        n_a, _ = sample_number_pair(1, 0.0, LossChannel(0.5, 1.0), rng(2), 100_000)
+        n_a, _ = sample_number_pair(1, LossChannel(0.5, 1.0), rng(2), 100_000)
         freq = float((n_a == 1).mean())
         sigma = math.sqrt(0.25 * 0.75 / 100_000)
         assert abs(freq - 0.25) < 3 * sigma
 
     def test_loss_never_adds_quanta(self):
-        n_a, n_b = sample_number_pair(3, 0.0, LossChannel(0.6, 0.7), rng(3), 50_000)
+        n_a, n_b = sample_number_pair(3, LossChannel(0.6, 0.7), rng(3), 50_000)
         assert np.all(n_b[n_a > 0] == 0)
 
 
@@ -57,7 +57,7 @@ class TestQuadratureSampling:
         shots = 100_000
         x, _ = sample_quadrature_pair(2, math.pi / 2, LOSSLESS, "P", rng(4), shots)
         grid = np.linspace(-8, 8, 32_769)
-        dens = px_density(2, 0.0, LOSSLESS, grid)
+        dens = px_density(2, LOSSLESS, grid)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
         cdf /= cdf[-1]
         model = np.interp(np.sort(x), grid, cdf)
@@ -97,10 +97,29 @@ def gaussian(q, sigma):
     return np.exp(-0.5 * (q / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
 
 
-def raw_density(n_quanta, coeff_diag, coeff_cross, q):
-    """sum_k ck psi_k(q)^2 + cx psi_0(q) psi_N(q), one column of coefficients per q."""
+def raw_density(n_quanta, channel, profile, q):
+    """branch_a psi_0(q)^2 + psi0_sq sum_k ladder_b[k] psi_k(q)^2 + c_x psi_0(q) psi_N(q)
+    from the sampler's profile terms, one entry of each per q."""
+    branch_a, psi0_sq, c_x, _ = profile
     psi = wavefunction_stack(n_quanta, q)
-    return np.einsum("kx,kx->x", coeff_diag, psi**2) + coeff_cross * psi[0] * psi[n_quanta]
+    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
+    return branch_a * psi[0] ** 2 + psi0_sq * (ladder_b @ psi**2) + c_x * psi[0] * psi[n_quanta]
+
+
+def oracle_raw_density(n_quanta, phi, channel, theta, x, q):
+    """2 P(x) <theta; q|rho_x|theta; q> = 2 P(x) sum_jk rho_jk e^{-i (j - k) theta}
+    psi_j(q) psi_k(q), with rho_x the per-x oracle ``conditional_density_given_x``
+    and <theta; q|n> = e^{-i n theta} psi_n(q)."""
+    levels = np.arange(n_quanta + 1)
+    phase = np.exp(-1j * theta * np.subtract.outer(levels, levels))
+    psi = wavefunction_stack(n_quanta, q)
+    raw = np.empty(q.size)
+    for x_value in np.unique(x):
+        at = x == x_value
+        rho = conditional_density_given_x(n_quanta, phi, channel, x_value, dim=n_quanta + 1)
+        two_px = 2.0 * px_density(n_quanta, channel, x_value)
+        raw[at] = two_px * np.einsum("jq,jk,kq->q", psi[:, at], rho * phase, psi[:, at]).real
+    return raw
 
 
 channels = st.one_of(
@@ -130,11 +149,12 @@ class TestEnvelopeBound:
         # every q (in units of sigma) against every x
         _, sigma = _envelope_peaks(n_quanta)
         x_grid, q_grid = (v.ravel() for v in np.meshgrid(x, sigma * np.array(u)))
-        coeff_diag, coeff_cross, bound = _conditional_profile(
-            n_quanta, phi, channel, OBSERVABLE_THETA[observable], x_grid
-        )
-        raw = raw_density(n_quanta, coeff_diag, coeff_cross, q_grid)
-        assert np.all(raw <= bound * gaussian(q_grid, sigma) * (1.0 + 1e-12))
+        theta = OBSERVABLE_THETA[observable]
+        profile = _conditional_profile(n_quanta, phi, channel, theta, x_grid)
+        raw = oracle_raw_density(n_quanta, phi, channel, theta, x_grid, q_grid)
+        assert np.all(raw <= profile[3] * gaussian(q_grid, sigma) * (1.0 + 1e-12))
+        from_profile = raw_density(n_quanta, channel, profile, q_grid)
+        np.testing.assert_allclose(from_profile, raw, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize(
         "n_quanta,phi,channel,observable,seed",
@@ -148,15 +168,14 @@ class TestEnvelopeBound:
         # E[accept] = 2 P(x) / bound(x) iff raw <= bound g and raw integrates to 2 P(x)
         gen, proposals = rng(seed), 200_000
         x = _draw_x(n_quanta, channel, gen, proposals)
-        coeff_diag, coeff_cross, bound = _conditional_profile(
-            n_quanta, phi, channel, OBSERVABLE_THETA[observable], x
-        )
+        profile = _conditional_profile(n_quanta, phi, channel, OBSERVABLE_THETA[observable], x)
+        bound = profile[3]
         _, sigma = _envelope_peaks(n_quanta)
         q = gen.normal(0.0, sigma, proposals)
         accept = gen.random(proposals) * bound * gaussian(q, sigma) <= raw_density(
-            n_quanta, coeff_diag, coeff_cross, q
+            n_quanta, channel, profile, q
         )
-        two_px = 2.0 * px_density(n_quanta, phi, channel, x)
+        two_px = 2.0 * px_density(n_quanta, channel, x)
         assert abs(float(np.mean(accept * bound / two_px)) - 1.0) < 0.02
 
     @pytest.mark.parametrize("n_quanta", [1, 2, 3])
@@ -166,8 +185,8 @@ class TestEnvelopeBound:
         for channel in (LOSSLESS, LossChannel(0.95, 0.93), LossChannel(0.3, 0.6), LossChannel(1.0, 0.0)):
             for theta in OBSERVABLE_THETA.values():
                 for phi in (0.0, 1.0, math.pi / 2):
-                    _, _, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
-                    two_px = 2.0 * px_density(n_quanta, phi, channel, x)
+                    *_, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
+                    two_px = 2.0 * px_density(n_quanta, channel, x)
                     assert np.all(two_px / bound >= (1.0 - 1e-12) / (2.0 * peaks.max()))
 
 

@@ -467,7 +467,7 @@ class TestBatchedSweep:
         calls = []
 
         def stalling(n_quanta, phi, channels, which, order):
-            numerators, integral = real(n_quanta, phi, channels, which, order)
+            numerators, ladder_b = real(n_quanta, phi, channels, which, order)
             hit = [i for i, channel in enumerate(channels) if channel == stalled]
             if order == n_quanta:  # the kernel that is integrated; order 2N gives an exact integral
                 calls.append(len(channels))
@@ -477,7 +477,7 @@ class TestBatchedSweep:
                 values[hit] += np.sin(1e5 * x * x)
                 return values, px
 
-            return perturbed, integral
+            return perturbed, ladder_b
 
         monkeypatch.setattr(inferred, "_moment_numerators", stalling)
         monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
