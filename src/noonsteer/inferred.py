@@ -141,12 +141,11 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     int (S_2N / 2 - S_N^2 / (4 P)) dx in the terms of ``_moment_numerators``.
     The S_2N term enters as its exact integral M_00 + sum_k ladder_b[k] M_kk
     (int branch_a = int psi_0^2 = 1, int psi_0 psi_N = 0) times P(x), which
-    integrates to 1: only the
-    ratio term, finite where P(x) underflows, needs refining, and convergence
-    is judged on the variance itself. ``channel`` is one LossChannel, giving a
-    float, or a sequence of them, giving an array: their integrands share one
-    batched ``integrate`` call, and each entry equals the one-channel value bit
-    for bit."""
+    integrates to 1: only the ratio term, finite where P(x) underflows, needs
+    refining, and convergence is judged on the variance itself. ``channel`` is
+    one LossChannel, giving a float, or a sequence of them, giving an array:
+    their integrands share one batched ``integrate`` call, and each entry
+    equals the one-channel value bit for bit."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)

@@ -79,10 +79,8 @@ def binomial_ladder(n_quanta: int, eta: float) -> np.ndarray:
 def lossy_noon_density(
     n_quanta: int, phi: float, channel: LossChannel, dim: int | None = None
 ) -> TwoModeDensity:
-    """Two-mode density after independent beam-splitter loss on a NOON state.
-
-    At ``LOSSLESS`` both ladders are one-hot and the damping is 1, so this is
-    the NOON projector itself, with entries exactly 0.5 and 0.5 e^{-+i phi}."""
+    """Two-mode density after independent beam-splitter loss on a NOON state;
+    at ``LOSSLESS`` (one-hot ladders, damping 1) the NOON projector itself."""
     if n_quanta < 1:
         raise ValueError("NOON order must be >= 1")
     if dim is None:

@@ -123,6 +123,7 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     """
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
     (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
+    psi0_sq = psi0_sq.copy()  # a view would keep the whole stack alive
     damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
     c_x = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
     peaks, _ = _envelope_peaks(n_quanta)
@@ -165,7 +166,8 @@ def sample_quadrature_pair(
         psi = wavefunction_stack(n_quanta, prop)
         raw = c_x * psi[0] * psi[n_quanta]
         psi_sq = np.square(psi, out=psi)
-        raw += branch_a * psi_sq[0] + psi0_sq * (ladder_b @ psi_sq)
+        raw += branch_a * psi_sq[0]
+        raw += psi0_sq * np.einsum("k,kx->x", ladder_b, psi_sq)
         del psi, psi_sq  # free the stack before the compaction below
         keep = rng.random(pending.size) * bound * envelope <= raw
         hits = np.flatnonzero(keep)
