@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Fingerprint the CLI's output: one sha256 per invocation, then a total.
+"""Fingerprint the CLI's output: one sha256 per invocation, one subtotal per
+subcommand, then a total.
 
-    python3 scripts/cli_digest.py            # every digest, then the total
+    python3 scripts/cli_digest.py            # every digest, the subtotals, the total
+    python3 scripts/cli_digest.py | tail -6  # the subtotals and the total
     python3 scripts/cli_digest.py | tail -1  # the total only
 
 Runs a fixed list of ``noonsteer`` invocations in this process through
@@ -10,7 +12,10 @@ presets, shot logs, usage errors and the exit codes 0, 1, 2 and 3. Each
 digest covers the exit code, stdout, stderr and every file the call wrote.
 The calls run inside a temporary directory, removed afterwards, so nothing is
 written elsewhere. Run it at two commits to show a change leaves every output
-byte as it was: the totals then agree.
+byte as it was: the totals then agree. A change meant to move only one
+subcommand's output shows the other subtotals agree; each subtotal hashes
+the digests of the eval, sweep, threshold or sample calls in order, and
+"other" those of every call whose first argument is none of these.
 """
 
 import contextlib
@@ -26,6 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from noonsteer import cli  # noqa: E402
 
 PHASES = ("0", "pi/4", "pi/2", "3pi/4")
+SUBCOMMANDS = ("eval", "sweep", "threshold", "sample", "other")
 CAPTION = {1: "0", 2: "pi/2", 3: "0", 4: "pi/2", 5: "0"}
 
 
@@ -155,6 +161,7 @@ def main():
     os.environ.pop(cli.OUTPUT_DIR_ENV, None)
     os.environ["COLUMNS"] = "80"  # argparse wraps help and usage to the terminal width
     total = hashlib.sha256()
+    subtotals = {name: [hashlib.sha256(), 0] for name in SUBCOMMANDS}
     home = os.getcwd()
     calls = invocations()
     with tempfile.TemporaryDirectory() as scratch:
@@ -163,9 +170,14 @@ def main():
             for argv in calls:
                 digest = hashlib.sha256(run(argv)).hexdigest()
                 total.update(digest.encode())
+                subtotal = subtotals[argv[0] if argv and argv[0] in SUBCOMMANDS else "other"]
+                subtotal[0].update(digest.encode())
+                subtotal[1] += 1
                 print(digest, " ".join(argv) or "(no arguments)")
         finally:
             os.chdir(home)
+    for name, (subtotal, count) in subtotals.items():
+        print(f"{subtotal.hexdigest()} subtotal of {count} {name} invocations")
     print(f"{total.hexdigest()} total of {len(calls)} invocations")
     return 0
 

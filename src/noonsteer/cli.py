@@ -19,6 +19,7 @@ import sys
 from functools import cache
 
 from .errors import InsufficientBinOccupancy, NondiscriminatingPhase, NoonSteerError
+from .fock import HOMODYNE_COMBINATIONS
 from .lossy import LossChannel
 from .sampling import estimate_steering
 from .steering import (
@@ -141,7 +142,8 @@ def _emit(text: str, output: str | None):
 def cmd_eval(args, phi: float) -> int:
     channel = LossChannel(args.eta_a, args.eta_b)
     report = steering_functional(args.n, phi, channel, args.criterion)
-    rhs = protocol_rhs(args.n, phi, channel, args.criterion) if args.n <= 3 else None
+    supported = (args.n, args.criterion) in HOMODYNE_COMBINATIONS
+    rhs = protocol_rhs(args.n, phi, channel, args.criterion) if supported else None
     _emit(render_rows([_row(report, channel.eta_a, channel.eta_b, protocol_rhs=rhs)], args.fmt), args.output)
     return 0
 

@@ -105,7 +105,7 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
     ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
     ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
-    damping = np.array([math.sqrt(ch.eta_a * ch.eta_b) ** n_quanta for ch in channels])
+    damping = np.array([ch.coherence_damping(n_quanta) for ch in channels])
     m_00 = moment_integral(order, 0, 0)
     diag_b = _diagonal_integral(n_quanta, order, ladder_b)
     cross = (2.0 * damping * moment_integral(order, 0, n_quanta) * math.cos(n_quanta * theta - phi))[:, None]
@@ -209,12 +209,11 @@ def inferred_commutator_modulus(
     rather than guessing.
     """
     check_commutator_order(n_quanta, channel)
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
     return (
         n_quanta
         * math.sqrt(math.factorial(n_quanta))
         * commutator_phase_factor(n_quanta, phi, which)
-        * damping
+        * channel.coherence_damping(n_quanta)
         * overlap_abs_integral(n_quanta)
     )
 

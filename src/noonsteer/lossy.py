@@ -40,6 +40,10 @@ class LossChannel:
     def lossless(self) -> bool:
         return self.eta_a == 1.0 and self.eta_b == 1.0
 
+    def coherence_damping(self, n_quanta: int) -> float:
+        """(eta_a eta_b)^(N/2): the factor loss puts on the |N,0><0,N| coherence."""
+        return math.sqrt(self.eta_a * self.eta_b) ** n_quanta
+
 
 LOSSLESS = LossChannel(1.0, 1.0)
 
@@ -97,7 +101,7 @@ def lossy_noon_density(
     for k in range(n_quanta + 1):
         mat[idx(k, 0), idx(k, 0)] += 0.5 * ladder_a[k]
         mat[idx(0, k), idx(0, k)] += 0.5 * ladder_b[k]
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
+    damping = channel.coherence_damping(n_quanta)
     mat[idx(n_quanta, 0), idx(0, n_quanta)] += 0.5 * damping * np.exp(-1j * phi)
     mat[idx(0, n_quanta), idx(n_quanta, 0)] += 0.5 * damping * np.exp(1j * phi)
     return TwoModeDensity(dim=dim, matrix=mat)
@@ -147,8 +151,7 @@ def conditional_density_given_x(
     mat[0, 0] += branch_a
     diag = np.arange(n_quanta + 1)
     mat[diag, diag] += binomial_ladder(n_quanta, channel.eta_b) * psi0_sq
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    coherence = damping * psi0_psin
+    coherence = channel.coherence_damping(n_quanta) * psi0_psin
     mat[0, n_quanta] += coherence * np.exp(-1j * phi)
     mat[n_quanta, 0] += coherence * np.exp(1j * phi)
     return mat / (2.0 * px)

@@ -10,9 +10,13 @@ continuous outcome is done by binning, which the analytic pipeline never
 needs - that makes the sampler an independent statistical oracle for every
 inferred quantity.
 
-All estimators follow the analytic definitions: variances are occupancy-
-weighted within-bin variances, and the modulus is applied to the per-bin
-conditional mean, never per shot.
+All three components come from one occupancy-weighted estimator
+(``_occupancy_weighted``): the average of a per-group value over conditioning
+groups, with a delta-method error made of a within-group and a between-group
+term. For var_number the groups are the n_a outcomes and the value is the
+variance of n_b; for var_quadN and the commutator they are the merged x bins,
+and the values are the variance of Q^N and the modulus of the per-bin
+combination of setting means (the modulus is taken per bin, never per shot).
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def sample_number_pair(n_quanta: int, channel: LossChannel, rng: np.random.Gener
     return n_a, n_b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _x_cdf_table(n_quanta: int, eta_a: float):
     xs = np.linspace(X_RANGE[0], X_RANGE[1], X_TABLE_NODES)
     dens = px_density(n_quanta, LossChannel(eta_a, 1.0), xs)
@@ -124,8 +128,7 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
     (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
     psi0_sq = psi0_sq.copy()  # a view would keep the whole stack alive
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
-    c_x = 2.0 * damping * math.cos(n_quanta * theta - phi) * psi0_psin
+    c_x = 2.0 * channel.coherence_damping(n_quanta) * math.cos(n_quanta * theta - phi) * psi0_psin
     peaks, _ = _envelope_peaks(n_quanta)
     bound = peaks[0] * branch_a + (binomial_ladder(n_quanta, channel.eta_b) @ peaks) * psi0_sq
     bound += math.sqrt(peaks[0] * peaks[n_quanta]) * np.abs(c_x)
@@ -246,6 +249,9 @@ def _binned_power_sums(x_by: dict, y_by: dict, edges: np.ndarray):
 
 
 def _central_moments(counts, sums):
+    """Per-group mean, unbiased variance m2 and the squared standard error
+    (m4 - m2^2) / n of that variance, from the count n and the raw power sums
+    of each group; empty groups give zeros."""
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = np.where(counts > 0, sums[1] / np.maximum(counts, 1), 0.0)
         raw2 = np.where(counts > 0, sums[2] / np.maximum(counts, 1), 0.0)
@@ -253,8 +259,30 @@ def _central_moments(counts, sums):
         raw4 = np.where(counts > 0, sums[4] / np.maximum(counts, 1), 0.0)
     m2 = np.maximum(raw2 - mean**2, 0.0)
     m4 = np.maximum(raw4 - 4 * mean * raw3 + 6 * mean**2 * raw2 - 3 * mean**4, 0.0)
-    unbias = np.where(counts > 1, counts / np.maximum(counts - 1, 1), 1.0)
-    return mean, m2 * unbias, m4
+    m2 *= np.where(counts > 1, counts / np.maximum(counts - 1, 1), 1.0)
+    return mean, m2, np.maximum(m4 - m2**2, 0.0) / np.maximum(counts, 1.0)
+
+
+def _occupancy_weighted(weights, value, within, n_total) -> ComponentEstimate:
+    """The average sum_g w_g value_g over conditioning groups g, with its
+    delta-method stderr: the within-group term sum_g w_g^2 within_g (within_g
+    is the squared stderr of value_g) plus the between-group term
+    sum_g w_g (value_g - average)^2 / n_total."""
+    average = float(np.dot(weights, value))
+    se2 = float(np.dot(weights**2, within))
+    se2 += float(np.dot(weights, (value - average) ** 2)) / n_total
+    return ComponentEstimate(average, math.sqrt(se2))
+
+
+def _number_variance(n_quanta, n_a, n_b) -> ComponentEstimate:
+    """var(n_b | n_a) from number pairs, grouped by the n_a outcome through one
+    (N + 1) x (N + 1) histogram of the pairs."""
+    levels = n_quanta + 1
+    hist = np.bincount(n_a * levels + n_b, minlength=levels**2).reshape(levels, levels)
+    counts = hist.sum(axis=1).astype(float)
+    outcomes = np.arange(levels, dtype=float)
+    _, m2, m2_se2 = _central_moments(counts, {power: hist @ outcomes**power for power in (1, 2, 3, 4)})
+    return _occupancy_weighted(counts / n_a.size, m2, m2_se2, n_a.size)
 
 
 def estimate_steering(
@@ -301,29 +329,9 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         for i, name in enumerate(settings)
     }
 
-    # number-pair shots -> var_number
-    rng_num = streams[0]
-    n_a, n_b = sample_number_pair(n_quanta, channel, rng_num, per_setting[SETTING_NUMBER])
-    n_num = n_a.size
-    var_n, se2_between, se2_within = 0.0, 0.0, 0.0
-    group_vars, group_weights = [], []
-    for m in range(n_quanta + 1):
-        sel = n_b[n_a == m].astype(float)
-        if sel.size == 0:
-            continue
-        w = sel.size / n_num
-        gvar = float(sel.var(ddof=1)) if sel.size > 1 else 0.0
-        m4 = float(np.mean((sel - sel.mean()) ** 4)) if sel.size > 1 else 0.0
-        var_n += w * gvar
-        se2_within += w**2 * max(m4 - gvar**2, 0.0) / sel.size
-        group_vars.append(gvar)
-        group_weights.append(w)
-    se2_between = sum(
-        w * (gv - var_n) ** 2 for w, gv in zip(group_weights, group_vars)
-    ) / n_num
-    se_var_n = math.sqrt(se2_within + se2_between)
+    n_a, n_b = sample_number_pair(n_quanta, channel, streams[0], per_setting[SETTING_NUMBER])
+    number = _number_variance(n_quanta, n_a, n_b)
 
-    # homodyne shots
     x_by, q_by = {}, {}
     for name, stream in zip(settings[1:], streams[1:]):
         x_by[name], q_by[name] = sample_quadrature_pair(
@@ -335,44 +343,31 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         x_by, {name: q**n_quanta for name, q in q_by.items()}, edges
     )
     n_merged = len(merged) - 1
-
-    stats = {}
-    for name, (counts, sums) in moments.items():
-        mean, m2, m4 = _central_moments(counts, sums)
-        stats[name] = {"counts": counts, "mean": mean, "m2": m2, "m4": m4}
-
-    pooled = np.sum(np.stack([stats[name]["counts"] for name in hom_settings]), axis=0)
+    pooled = np.sum(np.stack([moments[name][0] for name in hom_settings]), axis=0)
     weights = pooled / pooled.sum()
     n_hom_total = int(pooled.sum())
 
     # variance of Q^N: occupancy-weighted within-bin variance
-    quad_name = hom_settings[0]
-    counts_q = stats[quad_name]["counts"]
-    m2_q = stats[quad_name]["m2"]
-    m4_q = stats[quad_name]["m4"]
-    var_q = float(np.dot(weights, m2_q))
-    se2_q = float(
-        np.dot(weights**2, np.maximum(m4_q - m2_q**2, 0.0) / np.maximum(counts_q, 1.0))
-    )
-    se2_q += float(np.dot(weights, (m2_q - var_q) ** 2)) / n_hom_total
-    se_var_q = math.sqrt(se2_q)
+    _, m2_q, m2_q_se2 = _central_moments(*moments[hom_settings[0]])
+    quad_n = _occupancy_weighted(weights, m2_q, m2_q_se2, n_hom_total)
 
     # commutator modulus: per-bin |combination of setting means|
     combo_mean = np.zeros(n_merged)
     combo_se2 = np.zeros(n_merged)
     for name, coeff in combo.items():
-        s = stats[name]
-        combo_mean += coeff * s["mean"]
-        combo_se2 += coeff**2 * s["m2"] / np.maximum(s["counts"], 1.0)
-    c_hat = float(np.dot(weights, np.abs(combo_mean)))
-    se2_c = float(np.dot(weights**2, combo_se2))
-    se2_c += float(np.dot(weights, (np.abs(combo_mean) - c_hat) ** 2)) / n_hom_total
-    se_c = math.sqrt(se2_c)
+        counts, sums = moments[name]
+        mean, m2, _ = _central_moments(counts, sums)
+        combo_mean += coeff * mean
+        combo_se2 += coeff**2 * m2 / np.maximum(counts, 1.0)
+    commutator = _occupancy_weighted(weights, np.abs(combo_mean), combo_se2, n_hom_total)
 
     floor = 1.0 / shots
-    se_var_n = max(se_var_n, floor)
-    se_var_q = max(se_var_q, floor)
-    se_c = max(se_c, floor)
+    number, quad_n, commutator = (
+        ComponentEstimate(c.value, max(c.stderr, floor)) for c in (number, quad_n, commutator)
+    )
+    var_n, se_var_n = number.value, number.stderr
+    var_q, se_var_q = quad_n.value, quad_n.stderr
+    c_hat, se_c = commutator.value, commutator.stderr
 
     if c_hat > 0.0:
         e_hat = 2.0 * math.sqrt(var_n * var_q) / c_hat
@@ -403,9 +398,9 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         bins=n_merged,
         e_hat=e_hat,
         stderr=se_e,
-        var_number=ComponentEstimate(var_n, se_var_n),
-        var_quadrature_n=ComponentEstimate(var_q, se_var_q),
-        commutator_modulus=ComponentEstimate(c_hat, se_c),
+        var_number=number,
+        var_quadrature_n=quad_n,
+        commutator_modulus=commutator,
     )
 
 

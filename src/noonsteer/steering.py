@@ -364,7 +364,7 @@ def protocol_rhs(
     leaves 2 P(x) <M_b>_x = 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N."""
     check_finite_phase(phi)
     m_n0 = complex(protocol_combination(n_quanta, which, n_quanta + 12)[n_quanta, 0])
-    damping = math.sqrt(channel.eta_a * channel.eta_b) ** n_quanta
+    damping = channel.coherence_damping(n_quanta)
     return 0.5 * damping * abs((cmath.exp(-1j * phi) * m_n0).real) * overlap_abs_integral(n_quanta)
 
 
