@@ -8,8 +8,10 @@ subcommand, then a total.
 
 Runs a fixed list of ``noonsteer`` invocations in this process through
 ``cli.main``: eval, sweep, threshold and sample in JSON and CSV, both figure
-presets, shot logs, usage errors and the exit codes 0, 1, 2 and 3. Each
-digest covers the exit code, stdout, stderr and every file the call wrote.
+presets, shot logs, usage errors, lossless orders at and past the supported
+wavefunction order, and the exit codes 0, 1, 2 and 3. Each digest covers the
+exit code, stdout, stderr and every file the call wrote; an exception that
+escapes ``cli.main`` stands in for the exit code as ``raised <Class>``.
 The calls run inside a temporary directory, removed afterwards, so nothing is
 written elsewhere. Run it at two commits to show a change leaves every output
 byte as it was: the totals then agree. A change meant to move only one
@@ -136,6 +138,9 @@ def invocations() -> list[list[str]]:
         ["threshold", "--help"],
         ["sample", "--help"],
     ]
+    # lossless orders at and past SUPPORTED_WAVEFUNCTION_ORDER = 16
+    calls += [["eval", "--n", str(n), "--phi", "pi/2"] for n in (16, 17, 200)]
+    calls.append(["sweep", "--n", "200", "--phi", "pi/2", "--start", "0.95", "--stop", "1", "--step", "0.05"])
     return calls
 
 
@@ -148,7 +153,7 @@ def run(argv: list[str]) -> bytes:
         except SystemExit as exc:  # argparse's --help
             code = exc.code
         except Exception as exc:  # an escaped exception is output too
-            code = f"{type(exc).__name__}: {exc}"
+            code = f"raised {type(exc).__name__}"
     record = [repr(argv), repr(code), out.getvalue(), err.getvalue()]
     for path in sorted(Path(".").rglob("*")):
         if path.is_file():

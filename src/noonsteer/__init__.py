@@ -13,12 +13,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroProbabilityConditioning,
 )
-from .fock import (
-    ModeOperator,
-    hermite,
-    operator_matrix,
-    position_wavefunction,
-)
+from .fock import ModeOperator, operator_matrix
 from .inferred import (
     conditional_quadrature_moment,
     inferred_commutator_modulus,

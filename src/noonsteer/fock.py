@@ -7,7 +7,9 @@ Conventions used throughout the package:
   constant c fixed to 2, which makes x the eigenvalue of X;
 * a rotated quadrature X_theta = cos(theta) X + sin(theta) P has the same
   eigenfunctions with <theta; q|n> = e^{-i n theta} <q|n>, so every
-  quadrature is read in the X frame (P is theta = pi/2).
+  quadrature is read in the X frame (P is theta = pi/2);
+* ``quadrature_power`` is the one builder of (X_theta)^N, and
+  ``wavefunction_stack`` the one evaluation of <x|n>.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import OutOfSupportedOrder, UnsupportedOrder
 #: Highest wavefunction order with a verified overflow-free evaluation.
 SUPPORTED_WAVEFUNCTION_ORDER = 16
 
-_OPERATOR_KINDS = ("annihilate", "create", "number", "x", "p", "x_theta")
+_OPERATOR_KINDS = ("number", "x", "p")
 
 #: Angle theta of each homodyne observable X_theta = cos(theta) X + sin(theta) P;
 #: the steering criterion "x" or "p" measures the quadrature named in capitals.
@@ -58,54 +60,28 @@ def homodyne_combination(n_quanta: int, which: str) -> dict:
         ) from None
 
 
-def hermite(n: int, y):
-    """Physicists' Hermite polynomial H_n(y) by upward recurrence.
-
-    Total on valid inputs; accepts scalars or arrays.
-    """
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    y = np.asarray(y, dtype=float)
-    h_prev = np.zeros_like(y)
-    h = np.ones_like(y)
-    for k in range(n):
-        h_prev, h = h, 2.0 * y * h - 2.0 * k * h_prev
-    return h if h.ndim else float(h)
-
-
-def position_wavefunction(n: int, x):
-    """Oscillator position wavefunction <x|n> (real-valued)."""
-    if n < 0:
-        raise ValueError("order must be nonnegative")
-    if n > SUPPORTED_WAVEFUNCTION_ORDER:
-        raise OutOfSupportedOrder(
-            f"wavefunction order {n} exceeds supported maximum "
-            f"{SUPPORTED_WAVEFUNCTION_ORDER}"
-        )
-    x = np.asarray(x, dtype=float)
-    norm = (2.0 * math.pi) ** (-0.25) / math.sqrt(2.0**n * math.factorial(n))
-    out = norm * hermite(n, x / math.sqrt(2.0)) * np.exp(-0.25 * x * x)
-    return out if np.ndim(out) else float(out)
-
-
 #: sqrt(2^n n!) for every supported order, the per-row divisor of the stack.
 _STACK_NORMS = np.array(
     [math.sqrt(2.0**n * math.factorial(n)) for n in range(SUPPORTED_WAVEFUNCTION_ORDER + 1)]
 )
 
 
+def check_wavefunction_order(order: int):
+    """Raise OutOfSupportedOrder for an order above SUPPORTED_WAVEFUNCTION_ORDER."""
+    if order > SUPPORTED_WAVEFUNCTION_ORDER:
+        raise OutOfSupportedOrder(
+            f"wavefunction order {order} exceeds supported maximum "
+            f"{SUPPORTED_WAVEFUNCTION_ORDER}"
+        )
+
+
 def wavefunction_stack(max_order: int, x: np.ndarray) -> np.ndarray:
     """All <x|n> for n = 0..max_order, shape (max_order+1, len(x)).
 
-    Single recurrence pass; cheaper than per-order calls in hot loops. The
-    Hermite rows follow ``hermite``'s recurrence operation for operation and
-    are then scaled in place.
+    One upward pass of the physicists' Hermite recurrence
+    H_{n+1}(y) = 2y H_n(y) - 2n H_{n-1}(y) at y = x / sqrt(2), scaled in place.
     """
-    if max_order > SUPPORTED_WAVEFUNCTION_ORDER:
-        raise OutOfSupportedOrder(
-            f"wavefunction order {max_order} exceeds supported maximum "
-            f"{SUPPORTED_WAVEFUNCTION_ORDER}"
-        )
+    check_wavefunction_order(max_order)
     x = np.asarray(x, dtype=float)
     two_y = 2.0 * (x / math.sqrt(2.0))
     gauss = (2.0 * math.pi) ** (-0.25) * np.exp(-0.25 * x * x)
@@ -128,16 +104,10 @@ class ModeOperator:
     kind: str
     dim: int
     matrix: np.ndarray = field(repr=False)
-    theta: float | None = None
 
 
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """<m|a|n> = sqrt(n) delta_{m,n-1} on the truncated basis."""
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-
-
-def operator_matrix(kind: str, dim: int, theta: float | None = None) -> ModeOperator:
-    """Truncated matrix for one of annihilate/create/number/x/p/x_theta.
+def operator_matrix(kind: str, dim: int) -> ModeOperator:
+    """Truncated matrix for one of number/x/p.
 
     Truncation leaves every stored entry exact; only products of these
     matrices acquire artifacts near the cutoff.
@@ -146,21 +116,19 @@ def operator_matrix(kind: str, dim: int, theta: float | None = None) -> ModeOper
         raise ValueError("dim must be >= 2")
     if kind not in _OPERATOR_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; one of {_OPERATOR_KINDS}")
-    a = annihilation_matrix(dim)
-    if kind == "annihilate":
-        mat = a
-    elif kind == "create":
-        mat = a.conj().T
-    elif kind == "number":
+    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
+    if kind == "number":
         mat = (a.conj().T @ a).round(12)
     elif kind == "x":
         mat = a + a.conj().T
-    elif kind == "p":
-        mat = (a - a.conj().T) / 1j
     else:
-        if theta is None:
-            raise ValueError("x_theta requires a rotation angle")
-        x = a + a.conj().T
-        p = (a - a.conj().T) / 1j
-        mat = math.cos(theta) * x + math.sin(theta) * p
-    return ModeOperator(kind=kind, dim=dim, matrix=mat, theta=theta)
+        mat = (a - a.conj().T) / 1j
+    return ModeOperator(kind=kind, dim=dim, matrix=mat)
+
+
+def quadrature_power(dim: int, theta: float, order: int) -> np.ndarray:
+    """(X_theta)^order on the Fock basis: X^order with entry (j, k) phased by
+    e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a} X e^{-i theta a^dag a}."""
+    levels = np.arange(dim)
+    phase = np.exp(1j * theta * np.subtract.outer(levels, levels))
+    return np.linalg.matrix_power(operator_matrix("x", dim).matrix, order) * phase

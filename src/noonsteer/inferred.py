@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermroots, hermval
 
 from .errors import UnsupportedOrder, ZeroProbabilityConditioning
-from .fock import OBSERVABLE_THETA, operator_matrix
+from .fock import OBSERVABLE_THETA, check_wavefunction_order, quadrature_power
 from .lossy import (
     CONDITIONING_FLOOR,
     LossChannel,
@@ -32,6 +32,7 @@ from .lossy import (
     _branch_profiles,
     binomial_ladder,
     conditioned_b_blocks,
+    conditioning_outcomes,
     number_joint,
 )
 from .quadrature import integrate, integrate_abs
@@ -55,8 +56,7 @@ def moment_integral(order: int, j: int, k: int) -> float:
     between |j> and |k>, and X has no negative entries to cancel. Exactly
     zero when order + j + k is odd.
     """
-    x = operator_matrix("x", max(j, k) + order + 2).matrix.real
-    return float(np.linalg.matrix_power(x, order)[j, k])
+    return float(quadrature_power(max(j, k) + order + 2, 0.0, order)[j, k].real)
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +128,7 @@ def conditional_quadrature_moment(
     """<X_b^order>_x or <P_b^order>_x given the a-mode outcome x."""
     if order < 1:
         raise ValueError("moment order must be >= 1")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = conditioning_outcomes(x)
     s, px = _moment_numerators(n_quanta, phi, [channel], which, order)[0](x_arr)
     if np.any(px < CONDITIONING_FLOOR):
         raise ZeroProbabilityConditioning("conditioning density vanished")
@@ -189,13 +189,14 @@ def commutator_phase_factor(n_quanta: int, phi: float, which: str) -> float:
 
 
 def check_commutator_order(n_quanta: int, channel: LossChannel):
-    """Raise UnsupportedOrder where the lossy commutator reduction is not
-    established (a lossy channel with N > MAX_LOSSY_COMMUTATOR_ORDER)."""
+    """Raise UnsupportedOrder for a lossy channel with N > MAX_LOSSY_COMMUTATOR_ORDER, where the
+    reduction is not established, then OutOfSupportedOrder for N > SUPPORTED_WAVEFUNCTION_ORDER."""
     if not channel.lossless and n_quanta > MAX_LOSSY_COMMUTATOR_ORDER:
         raise UnsupportedOrder(
             f"lossy commutator reduction is only established for N <= "
             f"{MAX_LOSSY_COMMUTATOR_ORDER}, got N={n_quanta}"
         )
+    check_wavefunction_order(n_quanta)
 
 
 def inferred_commutator_modulus(
@@ -235,18 +236,10 @@ def density_number_variance(rho: TwoModeDensity) -> float:
     return total
 
 
-def _quadrature_power(dim: int, theta: float, order: int) -> np.ndarray:
-    """(X_theta)^order on the Fock basis: X^order with entry (j, k) phased by
-    e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a} X e^{-i theta a^dag a}."""
-    levels = np.arange(dim)
-    phase = np.exp(1j * theta * np.subtract.outer(levels, levels))
-    return np.linalg.matrix_power(operator_matrix("x", dim).matrix, order) * phase
-
-
 def density_quadrature_variance(rho: TwoModeDensity, theta: float, order: int) -> float:
     """Inferred variance of (X_b,theta)^order via explicit conditioning."""
-    m_n = _quadrature_power(rho.dim, theta, order)
-    m_2n = _quadrature_power(rho.dim, theta, 2 * order)
+    m_n = quadrature_power(rho.dim, theta, order)
+    m_2n = quadrature_power(rho.dim, theta, 2 * order)
 
     def integrand(x):
         blocks, px = conditioned_b_blocks(rho, x)
@@ -262,11 +255,11 @@ def density_quadrature_variance(rho: TwoModeDensity, theta: float, order: int) -
 
 def density_conditional_moment(rho: TwoModeDensity, theta: float, order: int, x) -> float:
     """<(X_b,theta)^order>_x from an explicit density, for cross-checks."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = conditioning_outcomes(x)
     blocks, px = conditioned_b_blocks(rho, x_arr)
     if np.any(px < CONDITIONING_FLOOR):
         raise ZeroProbabilityConditioning("conditioning density vanished")
-    vals = np.einsum("xks,sk->x", blocks, _quadrature_power(rho.dim, theta, order)).real / px
+    vals = np.einsum("xks,sk->x", blocks, quadrature_power(rho.dim, theta, order)).real / px
     return vals if np.ndim(x) else float(vals[0])
 
 

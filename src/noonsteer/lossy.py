@@ -127,6 +127,14 @@ def _branch_profiles(n_quanta: int, ladder_a: np.ndarray, x: np.ndarray):
     return branch_a, psi_sq[0], psi0_psin, px
 
 
+def conditioning_outcomes(x) -> np.ndarray:
+    """The a-mode outcomes ``x`` as a 1-d float array; ValueError unless all are finite."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x_arr)):
+        raise ValueError("conditioning outcome must be finite")
+    return x_arr
+
+
 def conditional_density_given_x(
     n_quanta: int,
     phi: float,
@@ -140,11 +148,9 @@ def conditional_density_given_x(
         dim = n_quanta + 12
     if dim <= n_quanta:
         raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
-    if not math.isfinite(x):
-        raise ValueError("conditioning outcome must be finite")
     ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
-    profiles = _branch_profiles(n_quanta, ladder_a, np.array([x]))
-    branch_a, psi0_sq, psi0_psin, px = (float(np.ravel(v)[0]) for v in profiles)
+    profiles = _branch_profiles(n_quanta, ladder_a, conditioning_outcomes(x))
+    branch_a, psi0_sq, psi0_psin, px = (v.item() for v in profiles)  # one outcome, or ValueError
     if px < CONDITIONING_FLOOR:
         raise ZeroProbabilityConditioning(f"P(x={x}) = {px} below {CONDITIONING_FLOOR}")
     mat = np.zeros((dim, dim), dtype=complex)

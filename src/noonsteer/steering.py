@@ -12,7 +12,6 @@ as an infinite E: the configuration is unusable, not steered or unsteered.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -25,7 +24,7 @@ from .errors import (
     NoonSteerError,
     NoThresholdInBracket,
 )
-from .fock import OBSERVABLE_THETA, homodyne_combination, operator_matrix
+from .fock import OBSERVABLE_THETA, homodyne_combination, quadrature_power
 from .inferred import (
     _norm_which,
     check_commutator_order,
@@ -34,6 +33,7 @@ from .inferred import (
     inferred_commutator_modulus,
     inferred_number_variance,
     inferred_variance_quadrature,
+    moment_integral,
     overlap_abs_integral,
 )
 from .lossy import LossChannel, conditional_number_b, number_marginal_a
@@ -346,10 +346,7 @@ def protocol_combination(n_quanta: int, which: str, dim: int) -> np.ndarray:
     commutator modulus: sum c X_theta^N over ``homodyne_combination``, built
     from X, P, and the pi/4-rotated quadratures."""
     return sum(
-        coeff
-        * np.linalg.matrix_power(
-            operator_matrix("x_theta", dim, theta=OBSERVABLE_THETA[name]).matrix, n_quanta
-        )
+        coeff * quadrature_power(dim, OBSERVABLE_THETA[name], n_quanta)
         for name, coeff in homodyne_combination(n_quanta, which).items()
     )
 
@@ -361,11 +358,14 @@ def protocol_rhs(
     int P(x) |<M_b>_x| dx for the state-independent ``protocol_combination`` M,
     so a bound for any state. Exact on lossy NOON states: M has a zero diagonal
     on k <= N (the N = 2 coefficients sum to 0; parity zeroes N = 1, 3), which
-    leaves 2 P(x) <M_b>_x = 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N."""
+    leaves 2 P(x) <M_b>_x = 2 damping Re(e^{-i phi} M_N0) psi_0 psi_N, with
+    Re(e^{-i phi} M_N0) = R_N(0, N) sum c cos(N theta_c - phi) (``_moment_numerators``)."""
     check_finite_phase(phi)
-    m_n0 = complex(protocol_combination(n_quanta, which, n_quanta + 12)[n_quanta, 0])
-    damping = channel.coherence_damping(n_quanta)
-    return 0.5 * damping * abs((cmath.exp(-1j * phi) * m_n0).real) * overlap_abs_integral(n_quanta)
+    cross = moment_integral(n_quanta, 0, n_quanta) * sum(
+        coeff * math.cos(n_quanta * OBSERVABLE_THETA[name] - phi)
+        for name, coeff in homodyne_combination(n_quanta, which).items()
+    )
+    return 0.5 * channel.coherence_damping(n_quanta) * abs(cross) * overlap_abs_integral(n_quanta)
 
 
 def coherence_inequality(

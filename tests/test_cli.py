@@ -66,11 +66,12 @@ class TestRejectedInputs:
             (["eval", "--phi", "inf"], "phi=inf"),
             (["eval", "--phi", "pi/0"], "'pi/0' divides by zero"),
             (["eval", "--n", "3", "--phi", "0", "--eta-a", "1e-160", "--eta-b", "1e-160"], "modulus underflows to 0"),
+            (["eval", "--n", "200", "--phi", "pi/2"], "wavefunction order 200 exceeds supported maximum 16"),
         ],
         ids=[
             "sweep-step-0", "sample-shots-0", "eval-n-0", "eval-n-0-phi-0", "threshold-n-0", "sweep-n-0",
             "sample-phi-nan", "eval-phi-nan", "threshold-phi-nan", "sweep-phi-nan", "eval-phi-inf",
-            "eval-phi-pi-over-0", "eval-damping-underflow",
+            "eval-phi-pi-over-0", "eval-damping-underflow", "eval-n-200",
         ],
     )
     def test_exit_one_with_one_line(self, capsys, argv, message):
@@ -231,6 +232,15 @@ class TestSweep:
         for c_row, j_row in zip(csv_rows, json_rows):
             for key in ("E", "var_number", "var_quadN", "commutator"):
                 assert float(c_row[key]) == j_row[key]  # 17g survives the round trip
+
+    def test_unsupported_order_rows_are_flagged(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n", "200", "--phi", "pi/2", "--start", "0.95", "--stop", "1.0", "--step", "0.05",
+        )
+        assert code == 0
+        errors = [row["error"] for row in csv.DictReader(io.StringIO(out))]
+        assert errors[0].startswith("UnsupportedOrder: lossy commutator reduction")
+        assert errors[1] == "OutOfSupportedOrder: wavefunction order 200 exceeds supported maximum 16"
 
     def test_fig1_preset(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "fig1")

@@ -9,62 +9,80 @@ from hypothesis import strategies as st
 from noonsteer.errors import OutOfSupportedOrder
 from noonsteer.fock import (
     SUPPORTED_WAVEFUNCTION_ORDER,
-    hermite,
     operator_matrix,
-    position_wavefunction,
+    quadrature_power,
     wavefunction_stack,
 )
 
 
-def hermite_exact(n, y):
-    """Independent oracle: the recurrence in exact rational arithmetic."""
+def hermite_exact(n, y, sign=1):
+    """Independent oracle: the recurrence in exact rational arithmetic. With
+    sign=-1 and y >= 0 it sums the terms' magnitudes, which bound |H_n(y)|."""
     h_prev, h = Fraction(0), Fraction(1)
     for k in range(n):
-        h_prev, h = h, 2 * y * h - 2 * k * h_prev
+        h_prev, h = h, 2 * y * h - sign * 2 * k * h_prev
     return h
 
 
+def assert_rows_match_exact(psi, xs):
+    """Row n of ``psi`` is <x|n> at ``xs`` to within the rounding of an
+    (n+1)-step recurrence: the exact Hermite value at the float y = x / sqrt(2),
+    scaled, within 4 (n + 1) eps times the scaled magnitude bound."""
+    eps = np.finfo(float).eps
+    for n, row in enumerate(psi):
+        for got, x in zip(row, xs):
+            y = Fraction(float(x) / math.sqrt(2.0))
+            scale = (2 * math.pi) ** -0.25 * math.exp(-x * x / 4) / math.sqrt(2.0**n * math.factorial(n))
+            bound = float(hermite_exact(n, abs(y), sign=-1)) * scale
+            assert abs(got - float(hermite_exact(n, y)) * scale) <= 4 * (n + 1) * eps * bound
+
+
 class TestHermite:
+    """The Hermite recurrence inside ``wavefunction_stack``."""
+
     def test_h0_is_one(self):
-        assert hermite(0, 3.7) == 1.0
+        xs = np.array([-3.7, 0.0, 1.5])
+        np.testing.assert_allclose(
+            wavefunction_stack(0, xs)[0], (2 * math.pi) ** -0.25 * np.exp(-xs * xs / 4), rtol=1e-15, atol=0
+        )
 
     def test_h1(self):
-        assert hermite(1, 1.5) == 3.0
+        # H_1(y) = 2y makes <x|1> = x <x|0>
+        psi = wavefunction_stack(1, np.array([-2.0, 1.5, 3.0]))
+        np.testing.assert_allclose(psi[1], np.array([-2.0, 1.5, 3.0]) * psi[0], rtol=1e-15, atol=0)
 
     def test_h4_against_recurrence_oracle(self):
-        assert hermite(4, 1.0) == pytest.approx(float(hermite_exact(4, Fraction(1))), abs=0)
+        xs = np.array([math.sqrt(2.0)])
+        assert_rows_match_exact(wavefunction_stack(4, xs), xs)
 
     def test_vectorized(self):
-        ys = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_allclose(hermite(2, ys), 4 * ys**2 - 2)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hermite(-1, 0.0)
+        # H_2(y) = 4 y^2 - 2 makes <x|2> = (x^2 - 1) <x|0> / sqrt(2)
+        xs = np.array([-1.0, 0.0, 2.0])
+        psi = wavefunction_stack(2, xs)
+        np.testing.assert_allclose(psi[2], (xs**2 - 1) * psi[0] / math.sqrt(2), rtol=1e-14, atol=1e-16)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(min_value=0, max_value=6),
-        num=st.integers(min_value=-64, max_value=64),
-        den=st.sampled_from([1, 2, 4, 8, 16]),
+        n=st.integers(min_value=0, max_value=SUPPORTED_WAVEFUNCTION_ORDER),
+        x=st.floats(min_value=-14.0, max_value=14.0),
     )
-    def test_recurrence_exact_at_dyadic_rationals(self, n, num, den):
-        # dyadic y keeps every intermediate exactly representable in float64
-        y = Fraction(num, den)
-        assert hermite(n, float(y)) == float(hermite_exact(n, y))
+    def test_rows_match_exact_recurrence(self, n, x):
+        xs = np.array([x])
+        assert_rows_match_exact(wavefunction_stack(n, xs), xs)
 
 
 class TestWavefunctions:
     def test_ground_state_at_origin(self):
-        assert position_wavefunction(0, 0.0) == pytest.approx((2 * math.pi) ** -0.25, abs=1e-12)
-        assert position_wavefunction(0, 0.0) == pytest.approx(0.631619, abs=1e-6)
+        psi0 = wavefunction_stack(0, np.array([0.0]))[0, 0]
+        assert psi0 == pytest.approx((2 * math.pi) ** -0.25, abs=1e-12)
+        assert psi0 == pytest.approx(0.631619, abs=1e-6)
 
     def test_odd_parity_vanishes_at_origin(self):
-        assert position_wavefunction(1, 0.0) == 0.0
+        assert wavefunction_stack(1, np.array([0.0]))[1, 0] == 0.0
 
     def test_normalization(self):
         xs = np.linspace(-12, 12, 200_001)
-        norm = np.trapezoid(position_wavefunction(3, xs) ** 2, xs)
+        norm = np.trapezoid(wavefunction_stack(3, xs)[3] ** 2, xs)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
     def test_orthonormality_up_to_ten(self):
@@ -83,19 +101,19 @@ class TestWavefunctions:
         # single points come from bisection, empty arrays from settings with no shots
         psi = wavefunction_stack(max_order, xs)
         assert psi.shape == (max_order + 1, xs.size)
-        for n in range(max_order + 1):
-            np.testing.assert_allclose(psi[n], position_wavefunction(n, xs), rtol=1e-14, atol=0)
+        assert_rows_match_exact(psi, xs)
 
     def test_out_of_supported_order(self):
         with pytest.raises(OutOfSupportedOrder):
-            position_wavefunction(SUPPORTED_WAVEFUNCTION_ORDER + 1, 0.0)
+            wavefunction_stack(SUPPORTED_WAVEFUNCTION_ORDER + 1, np.array([0.0]))
 
 
 class TestOperators:
     @settings(max_examples=20, deadline=None)
     @given(dim=st.integers(min_value=3, max_value=20))
     def test_annihilation_elements(self, dim):
-        a = operator_matrix("annihilate", dim).matrix
+        # <m|X|n> above the diagonal is <m|a|n> = sqrt(n) delta_{m,n-1}
+        a = np.triu(operator_matrix("x", dim).matrix)
         for n in range(1, dim):
             assert a[n - 1, n] == pytest.approx(math.sqrt(n), abs=1e-14)
         assert np.count_nonzero(a) == dim - 1
@@ -111,7 +129,7 @@ class TestOperators:
         for kind in ("number", "x", "p"):
             mat = operator_matrix(kind, 12).matrix
             assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
-        mat = operator_matrix("x_theta", 12, theta=0.37).matrix
+        mat = quadrature_power(12, 0.37, 1)
         assert np.max(np.abs(mat - mat.conj().T)) < 1e-12
 
     def test_x_theta_combination(self):
@@ -120,14 +138,14 @@ class TestOperators:
         p = operator_matrix("p", dim).matrix
         for theta in (0.0, math.pi / 4, 1.1, math.pi / 2):
             combo = math.cos(theta) * x + math.sin(theta) * p
-            built = operator_matrix("x_theta", dim, theta=theta).matrix
+            built = quadrature_power(dim, theta, 1)
             assert np.max(np.abs(built - combo)) < 1e-12
 
     def test_x_pi4_matches_sum_form(self):
         dim = 9
         x = operator_matrix("x", dim).matrix
         p = operator_matrix("p", dim).matrix
-        built = operator_matrix("x_theta", dim, theta=math.pi / 4).matrix
+        built = quadrature_power(dim, math.pi / 4, 1)
         assert np.max(np.abs(built - (x + p) / math.sqrt(2))) < 1e-12
 
     def test_canonical_commutator_on_block(self):
@@ -139,12 +157,10 @@ class TestOperators:
         assert np.max(np.abs(block - 2j * np.eye(dim - 1))) < 1e-10
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            operator_matrix("squeeze", 5)
-
-    def test_x_theta_requires_angle(self):
-        with pytest.raises(ValueError):
-            operator_matrix("x_theta", 5)
+        # rotated quadratures and their powers come from quadrature_power
+        for kind in ("squeeze", "annihilate", "create", "x_theta"):
+            with pytest.raises(ValueError):
+                operator_matrix(kind, 5)
 
 
 def commutator_reduction_deviation(n_power, dim):
@@ -172,8 +188,8 @@ class TestCommutatorCheck:
         dim = 30
         num = operator_matrix("number", dim).matrix
         p = operator_matrix("p", dim).matrix
-        a = operator_matrix("annihilate", dim).matrix
-        adag = operator_matrix("create", dim).matrix
+        a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1)
+        adag = a.T
         lhs = num @ p @ p - p @ p @ num
         rhs = -2.0 * (adag @ adag - a @ a)
         keep = dim - 2

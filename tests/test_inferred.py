@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from noonsteer.errors import UnsupportedOrder, ZeroProbabilityConditioning
 from noonsteer.inferred import (
-    _quadrature_power,
     conditional_quadrature_moment,
     density_conditional_moment,
     density_number_variance,
@@ -20,7 +19,7 @@ from noonsteer.inferred import (
     overlap_abs_integral,
     px_density,
 )
-from noonsteer.fock import OBSERVABLE_THETA, operator_matrix, wavefunction_stack
+from noonsteer.fock import OBSERVABLE_THETA, operator_matrix, quadrature_power, wavefunction_stack
 from noonsteer.quadrature import integrate, integrate_abs
 from noonsteer.lossy import (
     CONDITIONING_FLOOR,
@@ -28,6 +27,7 @@ from noonsteer.lossy import (
     LossChannel,
     _branch_profiles,
     binomial_ladder,
+    conditional_density_given_x,
     conditional_number_b,
     lossy_noon_density,
     number_marginal_a,
@@ -41,9 +41,22 @@ def ideal_px_n2(x):
     return np.exp(-(x**2) / 2) / (2 * np.sqrt(2 * np.pi)) * ((2 * x**2 - 2) ** 2 / 8 + 1)
 
 
+def padded_real_moment(order, j, k):
+    """Reference R_n(j, k): the real power of X on a cutoff two above
+    max(j, k) + n, one ``matrix_power`` per entry."""
+    x = operator_matrix("x", max(j, k) + order + 2).matrix.real
+    return float(np.linalg.matrix_power(x, order)[j, k])
+
+
 class TestMomentIntegrals:
     def test_odd_parity_zero(self):
         assert moment_integral(3, 0, 2) == 0.0
+
+    def test_bit_identical_to_padded_real_power(self):
+        for order in range(17):
+            for j in range(9):
+                for k in range(9):
+                    assert moment_integral(order, j, k) == padded_real_moment(order, j, k), (order, j, k)
 
     def test_matches_operator_elements(self):
         # reference: int q^n psi_j psi_k dq by a fixed 20-point Gauss-Legendre
@@ -246,17 +259,35 @@ class TestMatrixRoute:
         analytic = inferred_variance_quadrature(2, phi, channel, "p")
         assert matrix == pytest.approx(analytic, abs=1e-8)
 
-    @pytest.mark.parametrize("theta", OBSERVABLE_THETA.values(), ids=OBSERVABLE_THETA.keys())
+    @pytest.mark.parametrize(
+        "theta", [*OBSERVABLE_THETA.values(), 0.37, 1.1], ids=[*OBSERVABLE_THETA.keys(), "0.37", "1.1"]
+    )
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_phased_power_is_rotated_quadrature_power(self, theta, order):
-        # the cutoff leaves entries with max(j, k) + order < dim exact
+        # e^{i theta n} is diagonal, so the identity holds on the whole
+        # truncated matrix, cutoff artifacts included
         dim = 9
-        direct = np.linalg.matrix_power(operator_matrix("x_theta", dim, theta).matrix, order)
-        exact = dim - order
-        np.testing.assert_allclose(
-            _quadrature_power(dim, theta, order)[:exact, :exact], direct[:exact, :exact], rtol=0, atol=1e-13
-        )
+        x, p = operator_matrix("x", dim).matrix, operator_matrix("p", dim).matrix
+        direct = np.linalg.matrix_power(math.cos(theta) * x + math.sin(theta) * p, order)
+        np.testing.assert_allclose(quadrature_power(dim, theta, order), direct, rtol=0, atol=1e-13)
 
     def test_zero_probability_guard(self):
         with pytest.raises(ZeroProbabilityConditioning):
             conditional_quadrature_moment(1, 0.0, LOSSLESS, 1, 60.0, "p")
+
+
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda x: conditional_quadrature_moment(2, math.pi / 2, LossChannel(0.9, 0.8), 1, x, "p"),
+        lambda x: density_conditional_moment(lossy_noon_density(1, 0.0, LOSSLESS), math.pi / 2, 1, x),
+        lambda x: conditional_density_given_x(1, 0.0, LOSSLESS, x),
+    ],
+    ids=["conditional_quadrature_moment", "density_conditional_moment", "conditional_density_given_x"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+def test_non_finite_outcome_refused(oracle, bad, as_array):
+    x = np.array([0.5, bad]) if as_array else bad
+    with pytest.raises(ValueError, match="conditioning outcome must be finite"):
+        oracle(x)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noonsteer.errors import DimTooSmall, InvalidOutcome, ZeroProbabilityConditioning
-from noonsteer.fock import operator_matrix, position_wavefunction
+from noonsteer.fock import operator_matrix, wavefunction_stack
 from noonsteer.inferred import density_number_variance, px_density
 from noonsteer.lossy import (
     LOSSLESS,
@@ -88,7 +88,8 @@ class TestPositionProbability:
     def test_lossless_closed_form(self):
         xs = np.linspace(-6, 6, 101)
         dens = px_density(2, LOSSLESS, xs)
-        expected = 0.5 * (position_wavefunction(0, xs) ** 2 + position_wavefunction(2, xs) ** 2)
+        psi = wavefunction_stack(2, xs)
+        expected = 0.5 * (psi[0] ** 2 + psi[2] ** 2)
         np.testing.assert_allclose(dens, expected, atol=1e-14)
 
 
@@ -124,15 +125,23 @@ class TestConditionalDensity:
         phi = 1.1
         for x in (-0.9, 0.7):
             rho = conditional_density_given_x(3, phi, LOSSLESS, x, dim=5)
+            psi = wavefunction_stack(3, np.array([x]))[:, 0]
             vec = np.zeros(5, dtype=complex)
-            vec[0] = position_wavefunction(3, x)
-            vec[3] = np.exp(1j * phi) * position_wavefunction(0, x)
+            vec[0] = psi[3]
+            vec[3] = np.exp(1j * phi) * psi[0]
             vec /= np.linalg.norm(vec)
             np.testing.assert_allclose(rho, np.outer(vec, vec.conj()), atol=1e-12)
 
     def test_zero_probability_conditioning(self):
         with pytest.raises(ZeroProbabilityConditioning):
             conditional_density_given_x(1, 0.0, LOSSLESS, 60.0)
+
+    def test_one_outcome_only(self):
+        # an array of outcomes is refused, not read at its first entry
+        with pytest.raises(ValueError):
+            conditional_density_given_x(1, 0.0, LOSSLESS, np.array([0.5, 0.7]))
+        rho = conditional_density_given_x(1, 0.0, LOSSLESS, np.array([0.5]))
+        np.testing.assert_array_equal(rho, conditional_density_given_x(1, 0.0, LOSSLESS, 0.5))
 
 
 class TestNumberTables:

@@ -8,7 +8,7 @@ from numpy.polynomial.legendre import leggauss
 
 from noonsteer import quadrature
 from noonsteer.errors import ConvergenceFailure
-from noonsteer.fock import position_wavefunction
+from noonsteer.fock import wavefunction_stack
 from noonsteer.quadrature import build_grid, default_grid, integrate, integrate_abs
 
 
@@ -225,7 +225,8 @@ class TestIntegrateAbs:
 
     def test_overlap_zero_two(self):
         def f(x):
-            return position_wavefunction(0, x) * position_wavefunction(2, x)
+            psi = wavefunction_stack(2, x)
+            return psi[0] * psi[2]
 
         value = math.sqrt(2.0) * integrate_abs(f)
         assert value == pytest.approx(0.968, abs=5e-4)

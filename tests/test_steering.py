@@ -494,8 +494,8 @@ def explicit_combination(n_quanta, which, dim):
     """The homodyne combinations written out in X, P, X_pi/4 and P_pi/4."""
     x = operator_matrix("x", dim).matrix
     p = operator_matrix("p", dim).matrix
-    x_pi4 = operator_matrix("x_theta", dim, theta=math.pi / 4).matrix
-    p_pi4 = operator_matrix("x_theta", dim, theta=3 * math.pi / 4).matrix
+    x_pi4 = (x + p) / math.sqrt(2.0)
+    p_pi4 = (p - x) / math.sqrt(2.0)
     if n_quanta == 1:
         return x if which == "p" else p
     if n_quanta == 2:
