@@ -158,9 +158,14 @@ class TestOperators:
 
     def test_unknown_kind(self):
         # rotated quadratures and their powers come from quadrature_power
-        for kind in ("squeeze", "annihilate", "create", "x_theta"):
+        for kind in ("squeeze", "annihilate", "create"):
             with pytest.raises(ValueError):
                 operator_matrix(kind, 5)
+
+    def test_x_theta_requires_angle(self):
+        # operator_matrix takes no angle; X_theta is built by quadrature_power
+        with pytest.raises(ValueError):
+            operator_matrix("x_theta", 5)
 
 
 def commutator_reduction_deviation(n_power, dim):
