@@ -9,7 +9,8 @@ subcommand, then a total.
 Runs a fixed list of ``noonsteer`` invocations in this process through
 ``cli.main``: eval, sweep, threshold and sample in JSON and CSV, both figure
 presets, shot logs, usage errors, lossless orders at and past the supported
-wavefunction order, and the exit codes 0, 1, 2 and 3. Each digest covers the
+wavefunction order, even orders at eta_a = 1 (the deepest quadrature
+refinement), and the exit codes 0, 1, 2 and 3. Each digest covers the
 exit code, stdout, stderr and every file the call wrote; an exception that
 escapes ``cli.main`` stands in for the exit code as ``raised <Class>``.
 The calls run inside a temporary directory, removed afterwards, so nothing is
@@ -141,6 +142,16 @@ def invocations() -> list[list[str]]:
     # lossless orders at and past SUPPORTED_WAVEFUNCTION_ORDER = 16
     calls += [["eval", "--n", str(n), "--phi", "pi/2"] for n in (16, 17, 200)]
     calls.append(["sweep", "--n", "200", "--phi", "pi/2", "--start", "0.95", "--stop", "1", "--step", "0.05"])
+    # eta_a = 1 at even N, where the variance integral refines furthest: up to
+    # 192 panels for N = 2 and 4, and past the cached levels (768 panels) to
+    # 1536 for a lossless N = 8 and 12288 for N = 12, also in a sweep row
+    calls += [
+        ["sweep", "--n", "4", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
+        ["eval", "--n", "2", "--phi", "pi/2", "--eta-a", "1", "--eta-b", "0.9"],
+        ["threshold", "--n", "2", "--phi", "pi/2", "--fix-eta-a", "1.0"],
+        ["eval", "--n", "8", "--phi", "pi/2", "--criterion", "x"],
+        ["sweep", "--n", "12", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
+    ]
     return calls
 
 

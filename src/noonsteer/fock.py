@@ -67,7 +67,10 @@ _STACK_NORMS = np.array(
 
 
 def check_wavefunction_order(order: int):
-    """Raise OutOfSupportedOrder for an order above SUPPORTED_WAVEFUNCTION_ORDER."""
+    """Raise ValueError for a negative order and OutOfSupportedOrder for an
+    order above SUPPORTED_WAVEFUNCTION_ORDER."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     if order > SUPPORTED_WAVEFUNCTION_ORDER:
         raise OutOfSupportedOrder(
             f"wavefunction order {order} exceeds supported maximum "

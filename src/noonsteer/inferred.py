@@ -35,7 +35,7 @@ from .lossy import (
     conditioning_outcomes,
     number_joint,
 )
-from .quadrature import integrate, integrate_abs
+from .quadrature import even, integrate, integrate_abs
 
 #: The lossy commutator reduction is only established for N up to this order.
 MAX_LOSSY_COMMUTATOR_ORDER = 5
@@ -82,8 +82,9 @@ def _ladders(n_quanta: int, etas) -> np.ndarray:
 
 
 def px_density(n_quanta: int, channel: LossChannel, x):
-    """Density of the a-mode X outcome; the phase carries no X_a weight."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """Density of the a-mode X outcome; the phase carries no X_a weight.
+    ValueError unless every outcome is finite."""
+    x_arr = conditioning_outcomes(x)
     _, _, _, px = _branch_profiles(n_quanta, _ladders(n_quanta, [channel.eta_a]), x_arr)
     return px[0] if np.ndim(x) else float(px[0, 0])
 
@@ -145,7 +146,13 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     refining, and convergence is judged on the variance itself. ``channel`` is
     one LossChannel, giving a float, or a sequence of them, giving an array:
     their integrands share one batched ``integrate`` call, and each entry
-    equals the one-channel value bit for bit."""
+    equals the one-channel value bit for bit.
+
+    The integrand is even in x bit for bit, so ``even`` evaluates it on the
+    positive nodes only. Each <x|n> has exact parity (-1)^n, so branch_a,
+    psi_0^2 and P are even, and so is psi_0 psi_N for even N. For odd N the
+    table gives exact zeros for R_N(0, 0) and R_N(k, k), so S_N reduces to
+    cross psi_0 psi_N, which flips sign exactly, and S_N^2 does not change."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
@@ -155,7 +162,7 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
         ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
         return 0.5 * second[:, None] * px - ratio
 
-    values = integrate(integrand)
+    values = integrate(even(integrand))
     return float(values[0]) if isinstance(channel, LossChannel) else values
 
 

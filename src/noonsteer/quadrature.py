@@ -2,8 +2,13 @@
 
 Fixed-order panels over a symmetric interval, doubled until two successive
 levels agree. Chosen over plain Gauss-Hermite because S_N^2 / P has poles
-near the real axis. ``integrate_abs`` locates the sign changes of a kinked
-|f| first and integrates piecewise; it serves the matrix route only.
+near the real axis. Every default-domain level is mirror-symmetric bit for
+bit, nodes and weights alike (its panel edges are exact binary fractions and
+the Gauss-Legendre rule is symmetrised), so ``even`` can hand ``integrate``
+an even integrand evaluated on the positive half only; its one caller is
+``inferred.inferred_variance_quadrature``. ``integrate_abs`` locates the
+sign changes of a kinked |f| first and integrates piecewise; it serves the
+matrix route only.
 """
 
 from __future__ import annotations
@@ -96,6 +101,21 @@ def default_grid() -> QuadratureGrid:
     return build_grid((-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH))
 
 
+def even(f):
+    """``f`` for an integrand that is even in x bit for bit, evaluated on the
+    positive half of mirror-symmetric nodes and mirrored, so the caller
+    receives the same full-length values in the same order. ValueError for
+    nodes that are not mirror pairs bit for bit."""
+
+    def mirrored(x):
+        if x.size % 2 or not np.array_equal(x, -x[::-1]):
+            raise ValueError("nodes are not mirror-symmetric")
+        half = f(x[x.size // 2 :])
+        return np.concatenate([half[..., ::-1], half], axis=-1)
+
+    return mirrored
+
+
 def integrate(f, grid: QuadratureGrid | None = None) -> float | np.ndarray:
     """Integrate a vectorized real function, refining until stable.
 
@@ -105,6 +125,8 @@ def integrate(f, grid: QuadratureGrid | None = None) -> float | np.ndarray:
     Each row keeps the value of the first level at which it agrees with the
     level before within ``ABS_TOL + REL_TOL * |value|``, and each row is summed
     on its own, so a row's result does not depend on the rows beside it.
+    Every default-domain level is mirror-symmetric bit for bit, which
+    ``inferred_variance_quadrature`` relies on through ``even``.
     Raises ConvergenceFailure if ``MAX_REFINEMENTS`` panel doublings leave
     any row above tolerance (at once for a non-finite value), or if a batch
     outgrows ``BATCH_VALUE_BUDGET``.

@@ -107,6 +107,10 @@ class TestWavefunctions:
         with pytest.raises(OutOfSupportedOrder):
             wavefunction_stack(SUPPORTED_WAVEFUNCTION_ORDER + 1, np.array([0.0]))
 
+    def test_negative_order_refused(self):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            wavefunction_stack(-1, np.array([0.0]))
+
 
 class TestOperators:
     @settings(max_examples=20, deadline=None)

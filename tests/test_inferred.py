@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from noonsteer.errors import UnsupportedOrder, ZeroProbabilityConditioning
 from noonsteer.inferred import (
+    _diagonal_integral,
+    _moment_numerators,
     conditional_quadrature_moment,
     density_conditional_moment,
     density_number_variance,
@@ -137,6 +139,36 @@ class TestConditionalMoments:
         assert got > 0.1
 
 
+def full_node_variance(n_quanta, phi, channel, which):
+    """Reference ``inferred_variance_quadrature``: the same integrand, evaluated
+    at every node of each level instead of on the positive half."""
+    channels = [channel] if isinstance(channel, LossChannel) else list(channel)
+    numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
+    second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
+
+    def integrand(x):
+        s_n, px = numerators(x)
+        ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
+        return 0.5 * second[:, None] * px - ratio
+
+    values = integrate(integrand)
+    return float(values[0]) if isinstance(channel, LossChannel) else values
+
+
+edge_etas = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+
+
+@st.composite
+def variance_cases(draw):
+    """(N, channels): lossy N = 1..5 with efficiencies on [0, 1] and their
+    ends, or lossless N up to 16; one to three channels."""
+    n_quanta = draw(st.integers(min_value=1, max_value=16))
+    if n_quanta > 5:
+        return n_quanta, [LOSSLESS] * draw(st.integers(min_value=1, max_value=3))
+    channel = st.builds(LossChannel, edge_etas, edge_etas)
+    return n_quanta, draw(st.lists(channel, min_size=1, max_size=3))
+
+
 class TestInferredVariance:
     def test_n1_ideal(self):
         assert inferred_variance_quadrature(1, 0.0, LOSSLESS, "p") == pytest.approx(2.0, abs=1e-6)
@@ -190,6 +222,22 @@ class TestInferredVariance:
 
         value = inferred_variance_quadrature(n_quanta, phi, channel, which)
         assert value == pytest.approx(integrate(integrand), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=variance_cases(),
+        which=st.sampled_from(["p", "x"]),
+        phi=st.one_of(
+            st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]), st.floats(-math.pi, math.pi)
+        ),
+        batched=st.booleans(),
+    )
+    def test_positive_half_equals_full_nodes_bit_for_bit(self, case, which, phi, batched):
+        n_quanta, channels = case
+        channel = channels if batched else channels[0]
+        got = np.atleast_1d(inferred_variance_quadrature(n_quanta, phi, channel, which))
+        want = np.atleast_1d(full_node_variance(n_quanta, phi, channel, which))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 class TestInferredNumberVariance:
@@ -282,8 +330,14 @@ class TestMatrixRoute:
         lambda x: conditional_quadrature_moment(2, math.pi / 2, LossChannel(0.9, 0.8), 1, x, "p"),
         lambda x: density_conditional_moment(lossy_noon_density(1, 0.0, LOSSLESS), math.pi / 2, 1, x),
         lambda x: conditional_density_given_x(1, 0.0, LOSSLESS, x),
+        lambda x: px_density(1, LOSSLESS, x),
     ],
-    ids=["conditional_quadrature_moment", "density_conditional_moment", "conditional_density_given_x"],
+    ids=[
+        "conditional_quadrature_moment",
+        "density_conditional_moment",
+        "conditional_density_given_x",
+        "px_density",
+    ],
 )
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])

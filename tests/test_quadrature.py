@@ -9,11 +9,21 @@ from numpy.polynomial.legendre import leggauss
 from noonsteer import quadrature
 from noonsteer.errors import ConvergenceFailure
 from noonsteer.fock import wavefunction_stack
-from noonsteer.quadrature import build_grid, default_grid, integrate, integrate_abs
+from noonsteer.quadrature import build_grid, default_grid, even, integrate, integrate_abs
 
 
 def gaussian_wave(width, freq):
     return lambda x: np.exp(-x * x / (2.0 * width * width)) * np.cos(freq * x)
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of a float array, for bitwise comparison."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def default_levels():
+    """Default-domain levels with 48 * 2^k panels, k = 0..10."""
+    return [build_grid(default_grid().domain, panels=48 * 2**k) for k in range(11)]
 
 
 def levels_used(f):
@@ -139,6 +149,60 @@ class TestIntegrate:
             integrate(stack)
         # a one-row call is never cut short by the budget
         assert integrate(lambda x: np.exp(-x * x)) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+
+
+def one_node_moved_by_one_ulp(nodes):
+    moved = nodes.copy()
+    moved[3] = np.nextafter(moved[3], 0.0)
+    return moved
+
+
+class TestMirror:
+    def test_default_levels_are_mirror_symmetric(self):
+        for level in default_levels():
+            assert level.nodes.size % 2 == 0 and level.nodes[level.nodes.size // 2] > 0.0
+            assert np.array_equal(bits(level.nodes), bits(-level.nodes[::-1]))
+            assert np.array_equal(bits(level.weights), bits(level.weights[::-1]))
+
+    def test_wavefunction_rows_have_exact_parity_on_the_levels(self):
+        # matching windows from either end, so the stack never holds a whole deep level
+        order = 16
+        sign = (-1.0) ** np.arange(order + 1)[:, None]
+        for level in default_levels():
+            x, size = level.nodes, level.nodes.size
+            for start in range(0, size // 2, 1 << 15):
+                stop = min(start + (1 << 15), size // 2)
+                left = wavefunction_stack(order, x[start:stop])
+                right = wavefunction_stack(order, x[size - stop : size - start])
+                assert np.array_equal(bits(left), bits(sign * right[:, ::-1]))
+
+    def test_even_evaluates_the_positive_half_and_mirrors_it(self):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return np.stack([x * x, np.cos(x)])
+
+        nodes = default_grid().nodes
+        values = even(f)(nodes)
+        assert len(seen) == 1 and np.array_equal(seen[0], nodes[nodes.size // 2 :])
+        assert np.array_equal(bits(values), bits(f(nodes)))
+
+    @pytest.mark.parametrize(
+        "nodes",
+        [
+            np.array([-1.0, 0.5]),
+            np.array([-1.0, 0.0, 1.0]),
+            one_node_moved_by_one_ulp(default_grid().nodes),
+            build_grid((-12.0, 11.0)).nodes,
+        ],
+        ids=["asymmetric", "odd-size", "one-ulp", "shifted-domain"],
+    )
+    def test_even_refuses_nodes_that_are_not_mirror_pairs(self, nodes):
+        calls = []
+        with pytest.raises(ValueError, match="not mirror-symmetric"):
+            even(lambda x: calls.append(None) or x * x)(nodes)
+        assert calls == []
 
 
 class TestVectorIntegrate:
