@@ -8,8 +8,8 @@ subcommand, then a total.
 
 Runs a fixed list of ``noonsteer`` invocations in this process through
 ``cli.main``: eval, sweep, threshold and sample in JSON and CSV, both figure
-presets, shot logs, usage errors, lossless orders at and past the supported
-wavefunction order, even orders at eta_a = 1 (the deepest quadrature
+presets, shot logs, usage errors, lossless and lossy orders at and past the
+supported wavefunction order, even orders at eta_a = 1 (the deepest quadrature
 refinement), and the exit codes 0, 1, 2 and 3. Each digest covers the
 exit code, stdout, stderr and every file the call wrote; an exception that
 escapes ``cli.main`` stands in for the exit code as ``raised <Class>``.
@@ -151,6 +151,16 @@ def invocations() -> list[list[str]]:
         ["threshold", "--n", "2", "--phi", "pi/2", "--fix-eta-a", "1.0"],
         ["eval", "--n", "8", "--phi", "pi/2", "--criterion", "x"],
         ["sweep", "--n", "12", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
+    ]
+    # lossy orders N = 6..16 share the wavefunction range with lossless ones
+    calls += [
+        ["eval", "--n", "10", "--phi", "pi/2", "--eta-a", "0.9", "--eta-b", "0.95"],
+        ["eval", "--n", "16", "--phi", "pi/4", "--criterion", "x", "--eta-a", "0.99", "--eta-b", "0.98",
+         "--format", "csv"],
+        ["eval", "--n", "17", "--phi", "0", "--eta-a", "0.9", "--eta-b", "0.95"],
+        ["threshold", "--n", "6", "--phi", "pi/2"],
+        ["threshold", "--n", "7", "--phi", "0"],
+        ["sweep", "--n", "8", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.005"],
     ]
     return calls
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.hermite import hermroots, hermval
 
-from .errors import UnsupportedOrder, ZeroProbabilityConditioning
+from .errors import ZeroProbabilityConditioning
 from .fock import OBSERVABLE_THETA, check_wavefunction_order, quadrature_power
 from .lossy import (
     CONDITIONING_FLOOR,
@@ -36,9 +36,6 @@ from .lossy import (
     number_joint,
 )
 from .quadrature import even, integrate, integrate_abs
-
-#: The lossy commutator reduction is only established for N up to this order.
-MAX_LOSSY_COMMUTATOR_ORDER = 5
 
 
 def _norm_which(which: str) -> str:
@@ -195,28 +192,18 @@ def commutator_phase_factor(n_quanta: int, phi: float, which: str) -> float:
     return abs(math.sin(phi))
 
 
-def check_commutator_order(n_quanta: int, channel: LossChannel):
-    """Raise UnsupportedOrder for a lossy channel with N > MAX_LOSSY_COMMUTATOR_ORDER, where the
-    reduction is not established, then OutOfSupportedOrder for N > SUPPORTED_WAVEFUNCTION_ORDER."""
-    if not channel.lossless and n_quanta > MAX_LOSSY_COMMUTATOR_ORDER:
-        raise UnsupportedOrder(
-            f"lossy commutator reduction is only established for N <= "
-            f"{MAX_LOSSY_COMMUTATOR_ORDER}, got N={n_quanta}"
-        )
-    check_wavefunction_order(n_quanta)
-
-
 def inferred_commutator_modulus(
     n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
 ) -> float:
     """|<[n_b, Q_b^N]>|_inf, the steering-criterion denominator (times 2).
 
-    Equals N sqrt(N!) |trig(phi)| (eta_a eta_b)^{N/2} int |<x|0><x|N>| dx.
-    The loss damping enters only as the (eta_a eta_b)^{N/2} prefactor; that
-    reduction is established for N <= 5, so lossy evaluation refuses larger N
-    rather than guessing.
+    Equals N sqrt(N!) |trig(phi)| (eta_a eta_b)^{N/2} int |<x|0><x|N>| dx
+    at every N. Conditioned on x, the lossy b-block has one off-diagonal
+    pair, (0, N). [n, X_theta^N] has a zero diagonal and (N, 0) entry
+    N e^{i N theta} sqrt(N!), so only that coherence survives the trace, and
+    loss enters only through its (eta_a eta_b)^{N/2} damping.
     """
-    check_commutator_order(n_quanta, channel)
+    check_wavefunction_order(n_quanta)
     return (
         n_quanta
         * math.sqrt(math.factorial(n_quanta))

@@ -36,10 +36,6 @@ class LossChannel:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
 
-    @property
-    def lossless(self) -> bool:
-        return self.eta_a == 1.0 and self.eta_b == 1.0
-
     def coherence_damping(self, n_quanta: int) -> float:
         """(eta_a eta_b)^(N/2): the factor loss puts on the |N,0><0,N| coherence."""
         return math.sqrt(self.eta_a * self.eta_b) ** n_quanta
@@ -60,6 +56,8 @@ class TwoModeDensity:
         size = self.dim**2
         if mat.shape != (size, size):
             raise ValueError(f"two-mode density must be {size} x {size}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("two-mode density has a non-finite entry")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > 1e-10:
             raise ValueError(f"two-mode density trace {trace} deviates from 1 beyond 1e-10")

@@ -310,7 +310,7 @@ def estimate_steering(
         raise DegenerateChannel("eta_a * eta_b = 0: nothing to estimate")
     if shots < 1:
         raise ValueError(f"sampling needs shots >= 1, got {shots}")
-    if not 1 <= bins <= MAX_BINS or not bin_range[0] < bin_range[1]:
+    if not 1 <= bins <= MAX_BINS or not -math.inf < bin_range[0] < bin_range[1] < math.inf:
         raise ValueError(f"binning needs 1 <= bins <= {MAX_BINS} and bin_range[0] < bin_range[1], got bins={bins}")
     own = isinstance(shot_log, (str, bytes)) or hasattr(shot_log, "__fspath__")
     with open(shot_log, "w") if own else contextlib.nullcontext(shot_log) as log:

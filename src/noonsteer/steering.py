@@ -24,10 +24,9 @@ from .errors import (
     NoonSteerError,
     NoThresholdInBracket,
 )
-from .fock import OBSERVABLE_THETA, homodyne_combination, quadrature_power
+from .fock import OBSERVABLE_THETA, check_wavefunction_order, homodyne_combination, quadrature_power
 from .inferred import (
     _norm_which,
-    check_commutator_order,
     check_finite_phase,
     commutator_phase_factor,
     inferred_commutator_modulus,
@@ -116,13 +115,14 @@ def _screen(n_quanta: int, channel: LossChannel):
     """The per-channel checks that need no quadrature."""
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0 zeroes the denominator")
-    check_commutator_order(n_quanta, channel)
+    check_wavefunction_order(n_quanta)
 
 
 def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str):
     """Steering reports for screened channels. Every commutator modulus is
-    formed first, so an unsupported order is reported before any quadrature
-    runs; the variance integrals then share one batched ``integrate`` call."""
+    formed first, so an order past the wavefunction range or a modulus that
+    underflows is reported before any quadrature runs; the variance
+    integrals then share one batched ``integrate`` call."""
     which = _norm_which(which)
     moduli = [inferred_commutator_modulus(n_quanta, phi, channel, which) for channel in channels]
     if 0.0 in moduli:

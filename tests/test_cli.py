@@ -239,8 +239,7 @@ class TestSweep:
         )
         assert code == 0
         errors = [row["error"] for row in csv.DictReader(io.StringIO(out))]
-        assert errors[0].startswith("UnsupportedOrder: lossy commutator reduction")
-        assert errors[1] == "OutOfSupportedOrder: wavefunction order 200 exceeds supported maximum 16"
+        assert errors == ["OutOfSupportedOrder: wavefunction order 200 exceeds supported maximum 16"] * 2
 
     def test_fig1_preset(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--preset", "fig1")

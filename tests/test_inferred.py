@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noonsteer.errors import UnsupportedOrder, ZeroProbabilityConditioning
+from noonsteer.errors import OutOfSupportedOrder, ZeroProbabilityConditioning
 from noonsteer.inferred import (
     _diagonal_integral,
     _moment_numerators,
     conditional_quadrature_moment,
+    density_abs_conditional_mean,
     density_conditional_moment,
     density_number_variance,
     density_quadrature_variance,
@@ -284,18 +285,19 @@ class TestCommutatorModulus:
         assert value == pytest.approx(29.5504, abs=1e-2)
 
     @settings(max_examples=12, deadline=None)
-    @given(ea=mid_etas, eb=mid_etas, n=st.integers(min_value=1, max_value=5))
+    @given(ea=mid_etas, eb=mid_etas, n=st.integers(min_value=1, max_value=16))
     def test_loss_scaling(self, ea, eb, n):
         phi = 0.0 if n % 2 == 1 else math.pi / 2
         ideal = inferred_commutator_modulus(n, phi, LOSSLESS, "p")
         lossy = inferred_commutator_modulus(n, phi, LossChannel(ea, eb), "p")
-        assert lossy == pytest.approx(ideal * (ea * eb) ** (n / 2), abs=1e-8)
+        # the relative term takes over only where the modulus passes 1e6 (N >= 14)
+        assert lossy == pytest.approx(ideal * (ea * eb) ** (n / 2), rel=1e-14, abs=1e-8)
 
     def test_lossy_refused_beyond_supported_order(self):
-        with pytest.raises(UnsupportedOrder):
-            inferred_commutator_modulus(6, math.pi / 2, LossChannel(0.9, 0.9), "p")
-        # lossless evaluation stays available
-        assert inferred_commutator_modulus(6, math.pi / 2, LOSSLESS, "p") > 0
+        # one order range with or without loss: the wavefunction range N <= 16
+        for channel in (LossChannel(0.9, 0.9), LOSSLESS):
+            with pytest.raises(OutOfSupportedOrder):
+                inferred_commutator_modulus(17, 0.0, channel, "p")
 
 
 class TestMatrixRoute:
@@ -306,6 +308,28 @@ class TestMatrixRoute:
         matrix = density_quadrature_variance(rho, math.pi / 2, 2)
         analytic = inferred_variance_quadrature(2, phi, channel, "p")
         assert matrix == pytest.approx(analytic, abs=1e-8)
+
+    @pytest.mark.parametrize("which", ["p", "x"])
+    @pytest.mark.parametrize("n_quanta", range(6, 11))
+    def test_lossy_modulus_matches_matrix_commutator(self, n_quanta, which):
+        # i[n, X_theta^N] at a cutoff of N + 2 is exact on the state's support
+        channel, phi, dim = LossChannel(0.9, 0.8), 0.3, n_quanta + 2
+        rho = lossy_noon_density(n_quanta, phi, channel, dim=dim)
+        power = quadrature_power(dim, OBSERVABLE_THETA[which.upper()], n_quanta)
+        number = np.diag(np.arange(dim))
+        matrix = density_abs_conditional_mean(rho, 1j * (number @ power - power @ number))
+        analytic = inferred_commutator_modulus(n_quanta, phi, channel, which)
+        assert matrix == pytest.approx(analytic, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["p", "x"])
+    @pytest.mark.parametrize("n_quanta", [6, 7])
+    def test_lossy_variance_matches_matrix_route_past_five(self, n_quanta, which):
+        # a cutoff of 2N + 2 holds every ladder path of X^2N on the state's support
+        channel, phi = LossChannel(0.9, 0.8), 0.3
+        rho = lossy_noon_density(n_quanta, phi, channel, dim=2 * n_quanta + 2)
+        matrix = density_quadrature_variance(rho, OBSERVABLE_THETA[which.upper()], n_quanta)
+        analytic = inferred_variance_quadrature(n_quanta, phi, channel, which)
+        assert matrix == pytest.approx(analytic, rel=1e-12)
 
     @pytest.mark.parametrize(
         "theta", [*OBSERVABLE_THETA.values(), 0.37, 1.1], ids=[*OBSERVABLE_THETA.keys(), "0.37", "1.1"]

@@ -11,6 +11,7 @@ from noonsteer.inferred import density_number_variance, px_density
 from noonsteer.lossy import (
     LOSSLESS,
     LossChannel,
+    TwoModeDensity,
     conditional_density_given_x,
     conditional_number_b,
     conditioned_b_blocks,
@@ -27,7 +28,7 @@ class TestLossChannel:
     @given(ea=etas, eb=etas)
     def test_valid_range_accepted(self, ea, eb):
         ch = LossChannel(ea, eb)
-        assert ch.lossless == (ea == 1.0 and eb == 1.0)
+        assert (ch.eta_a, ch.eta_b) == (ea, eb)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, math.inf])
     def test_out_of_range_rejected(self, bad):
@@ -63,6 +64,19 @@ class TestLossyDensity:
     def test_dim_too_small(self):
         with pytest.raises(DimTooSmall):
             lossy_noon_density(2, 0.0, LossChannel(0.5, 0.5), dim=2)
+
+    @pytest.mark.parametrize("entry", [(8, 2), (0, 0)], ids=["coherence", "diagonal"])
+    def test_nan_entry_refused(self, entry):
+        # NaN compares False with every bound, so the trace and Hermiticity
+        # checks alone would let it through
+        mat = lossy_noon_density(2, 0.0, LOSSLESS, dim=4).matrix.copy()
+        mat[entry] = mat[entry[::-1]] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            TwoModeDensity(dim=4, matrix=mat)
+
+    def test_nan_phase_refused(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            lossy_noon_density(2, math.nan, LOSSLESS)
 
     @pytest.mark.parametrize("eta_a", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("eta_b", [0.0, 0.3, 0.7, 1.0])

@@ -413,6 +413,13 @@ class TestBinning:
         with pytest.raises(ValueError):
             estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bin_range=(1.0, 1.0))
 
+    @pytest.mark.parametrize("bin_range", [(-math.inf, 8.0), (-8.0, math.inf)], ids=["-inf", "inf"])
+    def test_non_finite_bin_range_refused_before_sampling(self, bin_range, monkeypatch):
+        for name in ("sample_number_pair", "sample_quadrature_pair"):
+            monkeypatch.setattr(sampling, name, lambda *args: pytest.fail("drew shots"))
+        with pytest.raises(ValueError, match=r"bin_range\[0\] < bin_range\[1\]"):
+            estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bin_range=bin_range)
+
 
 class TestShotLogValidation:
     def test_number_outcomes_must_be_integers(self):

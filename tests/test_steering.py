@@ -390,8 +390,8 @@ class TestBatchedSweep:
             assert row_outcome(row) == point_outcome(n_quanta, phi, row.eta_a, row.eta_b, which)
 
     def test_mixed_errors_match_steering_functional(self):
-        # N = 2 at phi = 0 is nondiscriminating for P; lossy N = 6 is past the
-        # lossy commutator reduction; N = 17 is past the wavefunction order
+        # N = 2 at phi = 0 is nondiscriminating for P; N = 17 is past the
+        # wavefunction order with or without loss; lossy N = 6 evaluates
         phases = {1: 0.0, 2: 0.0, 6: math.pi / 2, 17: 0.0}
         grid = [0.0, 0.6, 0.95, 1.0]
         rows = sweep(sorted(phases), phases.get, "p", symmetric=grid)
@@ -402,9 +402,8 @@ class TestBatchedSweep:
         assert all(message for _, message in errors.values())
         assert errors[(2, 0.95)][0] == "NondiscriminatingPhase"
         assert errors[(1, 0.0)][0] == errors[(6, 0.0)][0] == errors[(17, 0.0)][0] == "DegenerateChannel"
-        assert errors[(6, 0.6)][0] == errors[(17, 0.95)][0] == "UnsupportedOrder"
-        assert errors[(17, 1.0)][0] == "OutOfSupportedOrder"
-        assert (6, 1.0) not in errors and (1, 0.6) not in errors
+        assert errors[(17, 0.6)][0] == errors[(17, 0.95)][0] == errors[(17, 1.0)][0] == "OutOfSupportedOrder"
+        assert all((6, eta) not in errors for eta in (0.6, 0.95, 1.0)) and (1, 0.6) not in errors
 
     def test_chunk_mixing_shared_and_distinct_eta_a_matches_bit_for_bit(self):
         # 3 x 12 points: the first chunk holds 12 + 12 + 8 rows of three eta_a
@@ -439,13 +438,12 @@ class TestBatchedSweep:
         want = [point_outcome(n_quanta, phi, e, e, "p") for e in (0.5, 0.9)]
         assert [row_outcome(r) for r in rows[1:]] == want
 
-    def test_lossy_order_is_refused_before_any_quadrature(self):
-        # an unsupported lossy order is refused even where the wavefunction
-        # order is out of range too
-        with pytest.raises(UnsupportedOrder):
-            steering_functional(17, 0.0, LossChannel(0.9, 0.9), "p")
-        with pytest.raises(OutOfSupportedOrder):
-            steering_functional(17, 0.0, LOSSLESS, "p")
+    def test_lossy_order_is_refused_before_any_quadrature(self, monkeypatch):
+        # lossy or not, an order past the wavefunction range runs no integral
+        monkeypatch.setattr(inferred, "integrate", lambda *args: pytest.fail("ran a quadrature"))
+        for channel in (LossChannel(0.9, 0.9), LOSSLESS):
+            with pytest.raises(OutOfSupportedOrder):
+                steering_functional(17, 0.0, channel, "p")
 
     def test_negative_moment_propagates_like_steering_functional(self, monkeypatch):
         bad = LossChannel(0.9, 0.9)
