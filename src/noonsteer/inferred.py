@@ -31,6 +31,7 @@ from .lossy import (
     TwoModeDensity,
     _branch_profiles,
     binomial_ladder,
+    check_finite_phase,
     conditioned_b_blocks,
     conditioning_outcomes,
     number_joint,
@@ -175,12 +176,6 @@ def inferred_number_variance(n_quanta: int, channel: LossChannel) -> float:
         eta_b - eta_b**2 + n_quanta * eta_b**2
     )
     return numer / (2.0 * (lost_a + 1.0))
-
-
-def check_finite_phase(phi: float):
-    """Raise ValueError for phi = nan or +-inf, which no criterion accepts."""
-    if not math.isfinite(phi):
-        raise ValueError(f"phase must be finite, got phi={phi}")
 
 
 def commutator_phase_factor(n_quanta: int, phi: float, which: str) -> float:

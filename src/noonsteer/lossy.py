@@ -125,6 +125,12 @@ def _branch_profiles(n_quanta: int, ladder_a: np.ndarray, x: np.ndarray):
     return branch_a, psi_sq[0], psi0_psin, px
 
 
+def check_finite_phase(phi: float):
+    """Raise ValueError for phi = nan or +-inf, which no criterion accepts."""
+    if not math.isfinite(phi):
+        raise ValueError(f"phase must be finite, got phi={phi}")
+
+
 def conditioning_outcomes(x) -> np.ndarray:
     """The a-mode outcomes ``x`` as a 1-d float array; ValueError unless all are finite."""
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -142,6 +148,7 @@ def conditional_density_given_x(
 ) -> np.ndarray:
     """Mode-b density matrix conditioned on measuring X = x on mode a
     (normalized), shape (dim, dim)."""
+    check_finite_phase(phi)
     if dim is None:
         dim = n_quanta + 12
     if dim <= n_quanta:

@@ -17,6 +17,8 @@ term. For var_number the groups are the n_a outcomes and the value is the
 variance of n_b; for var_quadN and the commutator they are the merged x bins,
 and the values are the variance of Q^N and the modulus of the per-bin
 combination of setting means (the modulus is taken per bin, never per shot).
+Both groupings take each group's moments from one helper that centres them on
+the group mean (``_group_moments``); x bins are found by arithmetic, not search.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 
 import numpy as np
@@ -32,8 +34,8 @@ from numpy.polynomial.hermite import Hermite
 
 from .errors import DegenerateChannel, InsufficientBinOccupancy
 from .fock import OBSERVABLE_THETA, homodyne_combination, wavefunction_stack
-from .inferred import check_finite_phase, px_density
-from .lossy import LossChannel, _branch_profiles, binomial_ladder
+from .inferred import px_density
+from .lossy import LossChannel, _branch_profiles, binomial_ladder, check_finite_phase
 
 SETTING_NUMBER = "number-pair"
 
@@ -194,80 +196,83 @@ def _homodyne_settings(n_quanta: int, which: str):
     return settings, combo
 
 
-def _merged_partition(bin_counts: np.ndarray, edges: np.ndarray):
+def _merged_partition(bin_counts: np.ndarray):
     """Greedy left-to-right merge until every kept bin is occupied enough.
 
     ``bin_counts`` is the minimum per-bin occupancy across settings. Returns
-    the merged edge array; raises if even one merged bin cannot be filled.
+    the merged edges as fine-edge indices; raises if not one merged bin fills.
     """
-    merged_edges = [edges[0]]
+    cuts = [0]
     acc = 0
-    for i, count in enumerate(bin_counts):
-        acc += int(count)
+    for i, count in enumerate(bin_counts.tolist()):
+        acc += count
         if acc >= MIN_BIN_OCCUPANCY:
-            merged_edges.append(edges[i + 1])
+            cuts.append(i + 1)
             acc = 0
-    if len(merged_edges) < 2:
+    if len(cuts) < 2:
         raise InsufficientBinOccupancy(
             f"fewer than {MIN_BIN_OCCUPANCY} shots per setting in every bin, "
             "even after merging the whole axis"
         )
     # fold the (underfull or empty) right tail into the last kept bin
-    merged_edges[-1] = edges[-1]
-    return np.array(merged_edges)
+    cuts[-1] = len(bin_counts)
+    return np.array(cuts)
 
 
-def _binned_power_sums(x_by: dict, y_by: dict, edges: np.ndarray):
-    """Merged partition, then counts and raw power sums of y per merged bin.
+def _fine_bins(x: np.ndarray, edges: np.ndarray):
+    """clip(searchsorted(edges, x, "right") - 1, 0, bins - 1) for evenly spaced
+    ``edges``, without the search: as bins span over 16 ulps of the range ends
+    (``estimate_steering``), the guess (x - lo) / width is at most one bin off,
+    and a comparison with each edge of the guessed bin corrects it."""
+    n_fine = len(edges) - 1
+    width = (edges[-1] - edges[0]) / n_fine
+    with np.errstate(over="ignore"):  # a far outlier clips to an end bin
+        guess = np.clip((x - edges[0]) / width, 0, n_fine - 1).astype(np.intp)
+    return np.clip(guess - (x < edges[guess]) + (x >= edges[guess + 1]), 0, n_fine - 1)
+
+
+def _group_moments(group: np.ndarray, y: np.ndarray, n_groups: int, weight=None):
+    """Per-group count n, mean, unbiased variance m2 and the squared standard
+    error (m4 - m2^2) / n of that variance of the values ``y`` (each counted
+    ``weight`` times if given), the central moments summed as powers of
+    y - mean in a second pass after the means; empty groups give zeros."""
+    counts = np.bincount(group, weights=weight, minlength=n_groups).astype(float)
+    occupied = np.maximum(counts, 1.0)
+    mean = np.bincount(group, weights=y if weight is None else weight * y, minlength=n_groups) / occupied
+    d2 = np.square(y - mean[group])
+    w_d2 = d2 if weight is None else weight * d2
+    m2 = np.bincount(group, weights=w_d2, minlength=n_groups) / occupied
+    m4 = np.bincount(group, weights=w_d2 * d2, minlength=n_groups) / occupied
+    m2 *= np.where(counts > 1, counts / np.maximum(counts - 1.0, 1.0), 1.0)
+    return counts, mean, m2, np.maximum(m4 - np.square(m2), 0.0) / occupied
+
+
+def _binned_moments(x_by: dict, y_by: dict, edges: np.ndarray):
+    """Merged partition, then ``_group_moments`` of y per merged bin.
 
     Every setting's x is located once on the fine ``edges`` (values outside
     the range fall into the end bins). The merged edges are a subset of the
     fine edges, so each fine bin lies inside exactly one merged bin and a
-    lookup table turns fine indices into merged ones. Returns the merged
-    edges and ``{name: (counts, {power: sum of y**power})}`` for powers 1-4.
+    lookup table turns fine indices into merged ones. Returns
+    ``{name: (counts, mean, m2, m2_se2)}``, one entry per merged bin.
     """
-    n_fine = len(edges) - 1
-    fine_idx = {
-        name: np.clip(np.searchsorted(edges, x, side="right") - 1, 0, n_fine - 1)
-        for name, x in x_by.items()
+    fine_idx = {name: _fine_bins(x, edges) for name, x in x_by.items()}
+    min_counts = np.min([np.bincount(idx, minlength=len(edges) - 1) for idx in fine_idx.values()], axis=0)
+    cuts = _merged_partition(min_counts)
+    fine_to_merged = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    return {
+        name: _group_moments(fine_to_merged[idx], y_by[name], len(cuts) - 1)
+        for name, idx in fine_idx.items()
     }
-    min_counts = np.min([np.bincount(idx, minlength=n_fine) for idx in fine_idx.values()], axis=0)
-    merged = _merged_partition(min_counts, edges)
-    n_merged = len(merged) - 1
-    fine_to_merged = np.searchsorted(merged, edges[:-1], side="right") - 1
-    moments = {}
-    for name, idx in fine_idx.items():
-        idx = fine_to_merged[idx]
-        y = y_by[name]
-        counts = np.bincount(idx, minlength=n_merged).astype(float)
-        sums = {
-            power: np.bincount(idx, weights=y**power, minlength=n_merged)
-            for power in (1, 2, 3, 4)
-        }
-        moments[name] = counts, sums
-    return merged, moments
 
 
-def _central_moments(counts, sums):
-    """Per-group mean, unbiased variance m2 and the squared standard error
-    (m4 - m2^2) / n of that variance, from the count n and the raw power sums
-    of each group; empty groups give zeros."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(counts > 0, sums[1] / np.maximum(counts, 1), 0.0)
-        raw2 = np.where(counts > 0, sums[2] / np.maximum(counts, 1), 0.0)
-        raw3 = np.where(counts > 0, sums[3] / np.maximum(counts, 1), 0.0)
-        raw4 = np.where(counts > 0, sums[4] / np.maximum(counts, 1), 0.0)
-    m2 = np.maximum(raw2 - mean**2, 0.0)
-    m4 = np.maximum(raw4 - 4 * mean * raw3 + 6 * mean**2 * raw2 - 3 * mean**4, 0.0)
-    m2 *= np.where(counts > 1, counts / np.maximum(counts - 1, 1), 1.0)
-    return mean, m2, np.maximum(m4 - m2**2, 0.0) / np.maximum(counts, 1.0)
-
-
-def _occupancy_weighted(weights, value, within, n_total) -> ComponentEstimate:
-    """The average sum_g w_g value_g over conditioning groups g, with its
-    delta-method stderr: the within-group term sum_g w_g^2 within_g (within_g
-    is the squared stderr of value_g) plus the between-group term
-    sum_g w_g (value_g - average)^2 / n_total."""
+def _occupancy_weighted(counts, value, within) -> ComponentEstimate:
+    """The average sum_g w_g value_g over conditioning groups g, w_g = counts_g / n,
+    with its delta-method stderr: the within-group term sum_g w_g^2 within_g
+    (within_g is the squared stderr of value_g) plus the between-group term
+    sum_g w_g (value_g - average)^2 / n."""
+    n_total = counts.sum()
+    weights = counts / n_total
     average = float(np.dot(weights, value))
     se2 = float(np.dot(weights**2, within))
     se2 += float(np.dot(weights, (value - average) ** 2)) / n_total
@@ -275,14 +280,13 @@ def _occupancy_weighted(weights, value, within, n_total) -> ComponentEstimate:
 
 
 def _number_variance(n_quanta, n_a, n_b) -> ComponentEstimate:
-    """var(n_b | n_a) from number pairs, grouped by the n_a outcome through one
-    (N + 1) x (N + 1) histogram of the pairs."""
+    """var(n_b | n_a) from number pairs: the n_b outcomes grouped by n_a, as the
+    cells of one (N + 1) x (N + 1) histogram of the pairs weighted by count."""
     levels = n_quanta + 1
-    hist = np.bincount(n_a * levels + n_b, minlength=levels**2).reshape(levels, levels)
-    counts = hist.sum(axis=1).astype(float)
-    outcomes = np.arange(levels, dtype=float)
-    _, m2, m2_se2 = _central_moments(counts, {power: hist @ outcomes**power for power in (1, 2, 3, 4)})
-    return _occupancy_weighted(counts / n_a.size, m2, m2_se2, n_a.size)
+    hist = np.bincount(n_a * levels + n_b, minlength=levels**2)
+    cells = np.arange(levels**2)
+    counts, _, m2, m2_se2 = _group_moments(cells // levels, cells % levels, levels, hist)
+    return _occupancy_weighted(counts, m2, m2_se2)
 
 
 def estimate_steering(
@@ -312,6 +316,8 @@ def estimate_steering(
         raise ValueError(f"sampling needs shots >= 1, got {shots}")
     if not 1 <= bins <= MAX_BINS or not -math.inf < bin_range[0] < bin_range[1] < math.inf:
         raise ValueError(f"binning needs 1 <= bins <= {MAX_BINS} and bin_range[0] < bin_range[1], got bins={bins}")
+    if not 16.0 * math.ulp(max(map(abs, bin_range))) < (bin_range[1] - bin_range[0]) / bins < math.inf:
+        raise ValueError(f"bins must be finite and wider than 16 ulps of the range ends, got {bins} over {bin_range}")
     own = isinstance(shot_log, (str, bytes)) or hasattr(shot_log, "__fspath__")
     with open(shot_log, "w") if own else contextlib.nullcontext(shot_log) as log:
         return _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, log)
@@ -339,27 +345,20 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         )
 
     edges = np.linspace(bin_range[0], bin_range[1], bins + 1)
-    merged, moments = _binned_power_sums(
-        x_by, {name: q**n_quanta for name, q in q_by.items()}, edges
-    )
-    n_merged = len(merged) - 1
+    moments = _binned_moments(x_by, {name: reduce(np.multiply, [q] * n_quanta) for name, q in q_by.items()}, edges)
     pooled = np.sum(np.stack([moments[name][0] for name in hom_settings]), axis=0)
-    weights = pooled / pooled.sum()
-    n_hom_total = int(pooled.sum())
 
     # variance of Q^N: occupancy-weighted within-bin variance
-    _, m2_q, m2_q_se2 = _central_moments(*moments[hom_settings[0]])
-    quad_n = _occupancy_weighted(weights, m2_q, m2_q_se2, n_hom_total)
+    _, _, m2_q, m2_q_se2 = moments[hom_settings[0]]
+    quad_n = _occupancy_weighted(pooled, m2_q, m2_q_se2)
 
     # commutator modulus: per-bin |combination of setting means|
-    combo_mean = np.zeros(n_merged)
-    combo_se2 = np.zeros(n_merged)
+    combo_mean, combo_se2 = np.zeros((2, pooled.size))
     for name, coeff in combo.items():
-        counts, sums = moments[name]
-        mean, m2, _ = _central_moments(counts, sums)
+        counts, mean, m2, _ = moments[name]
         combo_mean += coeff * mean
         combo_se2 += coeff**2 * m2 / np.maximum(counts, 1.0)
-    commutator = _occupancy_weighted(weights, np.abs(combo_mean), combo_se2, n_hom_total)
+    commutator = _occupancy_weighted(pooled, np.abs(combo_mean), combo_se2)
 
     floor = 1.0 / shots
     number, quad_n, commutator = (
@@ -395,7 +394,7 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         which=which,
         shots=shots,
         seed=seed,
-        bins=n_merged,
+        bins=pooled.size,
         e_hat=e_hat,
         stderr=se_e,
         var_number=number,

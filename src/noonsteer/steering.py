@@ -27,7 +27,6 @@ from .errors import (
 from .fock import OBSERVABLE_THETA, check_wavefunction_order, homodyne_combination, quadrature_power
 from .inferred import (
     _norm_which,
-    check_finite_phase,
     commutator_phase_factor,
     inferred_commutator_modulus,
     inferred_number_variance,
@@ -35,7 +34,7 @@ from .inferred import (
     moment_integral,
     overlap_abs_integral,
 )
-from .lossy import LossChannel, conditional_number_b, number_marginal_a
+from .lossy import LossChannel, check_finite_phase, conditional_number_b, number_marginal_a
 
 #: Phase factors smaller than this count as an analytically zero denominator.
 PHASE_TOLERANCE = 1e-9

@@ -157,6 +157,12 @@ class TestConditionalDensity:
         rho = conditional_density_given_x(1, 0.0, LOSSLESS, np.array([0.5]))
         np.testing.assert_array_equal(rho, conditional_density_given_x(1, 0.0, LOSSLESS, 0.5))
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_refused(self, phi):
+        # the coherences would be NaN
+        with pytest.raises(ValueError, match="phase must be finite"):
+            conditional_density_given_x(2, phi, LOSSLESS, 0.3, dim=4)
+
 
 class TestNumberTables:
     def test_lossless_marginal(self):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noonsteer import sampling
@@ -13,12 +13,16 @@ from noonsteer.fock import OBSERVABLE_THETA, wavefunction_stack
 from noonsteer.inferred import px_density
 from noonsteer.lossy import LOSSLESS, LossChannel, binomial_ladder, conditional_density_given_x
 from noonsteer.sampling import (
+    MAX_BINS,
     MIN_BIN_OCCUPANCY,
     SETTING_NUMBER,
-    _binned_power_sums,
+    X_RANGE,
+    _binned_moments,
     _conditional_profile,
     _draw_x,
     _envelope_peaks,
+    _fine_bins,
+    _group_moments,
     _homodyne_settings,
     _merged_partition,
     _number_variance,
@@ -315,10 +319,10 @@ def assert_matches_number_reference(n_quanta, n_a, n_b):
     got = _number_variance(n_quanta, n_a, n_b)
     value, stderr = number_variance_reference(n_quanta, n_a, n_b)
     assert got.value == pytest.approx(value, rel=1e-13, abs=0.0)
-    # stderr to 1e-11, compared squared: the m4 - m2^2 of a group, taken from
-    # raw power sums, carries rounding of order 1e-14 (outcomes up to 3), which
-    # enters the squared stderr as at most that over the number of pairs and
-    # is all that is left where the exact squared stderr is 0
+    # stderr to 1e-11, compared squared: the m4 - m2^2 of a group carries
+    # rounding of order 1e-14 (outcomes up to 3, centred on a rounded mean),
+    # which enters the squared stderr as at most that over the number of
+    # pairs and is all that is left where the exact squared stderr is 0
     assert got.stderr**2 == pytest.approx(stderr**2, rel=2e-11, abs=1e-12 / n_a.size)
 
 
@@ -371,15 +375,77 @@ class TestHomodyneSettings:
         assert list(got_combo.items()) == list(combo.items())
 
 
+def group_moments_reference(values):
+    """(n, mean, ddof=1 variance, (m4 - variance^2) / n) of one group by numpy's
+    own mean and var, m4 the mean fourth central moment; a group of fewer
+    than two values has variance and stderr 0, an empty one mean 0 too."""
+    n = values.size
+    if n < 2:
+        return float(n), float(values.sum()), 0.0, 0.0
+    var = float(np.var(values, ddof=1))
+    m4 = float(np.mean((values - np.mean(values)) ** 4))
+    return float(n), float(np.mean(values)), var, max(m4 - var**2, 0.0) / n
+
+
+@st.composite
+def grouped_values(draw):
+    """(group, y, n_groups, weight, expanded): values in groups that may be
+    empty, of one member or larger, around an offset that may be far larger
+    than their spread; ``weight`` is None or integer weights (0 included), and
+    ``expanded`` lists each group's values repeated by weight."""
+    offset = draw(st.sampled_from([0.0, 1e6, -3.5e7]))
+    sizes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    y = offset + np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=group.size, max_size=group.size)), dtype=float)
+    weight = None
+    if draw(st.booleans()):
+        weight = np.array(draw(st.lists(st.integers(0, 5), min_size=group.size, max_size=group.size)), dtype=np.int64)
+    order = np.random.default_rng(group.size).permutation(group.size)
+    group, y = group[order], y[order]
+    repeats = np.ones(group.size, dtype=int) if weight is None else weight[order]
+    expanded = [np.repeat(y[group == g], repeats[group == g]) for g in range(len(sizes))]
+    return group, y, len(sizes), None if weight is None else weight[order], expanded
+
+
+class TestGroupMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_values())
+    @example((np.zeros(9, dtype=np.intp), 1e6 + np.array([0.0, 3, 3, 1, 2, 3, 0, 0, 0]), 2, None,
+              [1e6 + np.array([0.0, 3, 3, 1, 2, 3, 0, 0, 0]), np.array([])]))
+    def test_matches_per_group_loop(self, case):
+        group, y, n_groups, weight, expanded = case
+        counts, mean, m2, m2_se2 = _group_moments(group, y, n_groups, weight)
+        eps = np.finfo(float).eps
+        for g, values in enumerate(expanded):
+            n, want_mean, want_m2, want_se2 = group_moments_reference(values)
+            assert counts[g] == n
+            # bounds from float64 rounding: a mean off by e moves the centred
+            # m2 by e^2 only, and the fourth moment by about 4 e spread^3
+            big = float(np.max(np.abs(values), initial=0.0))
+            spread = float(np.max(np.abs(values - want_mean), initial=0.0))
+            tol = 64.0 * max(n, 1.0) * eps
+            assert abs(mean[g] - want_mean) <= tol * big
+            assert abs(m2[g] - want_m2) <= tol * (spread**2 + big * spread)
+            assert abs(m2_se2[g] - want_se2) * max(n, 1.0) <= tol * (spread**4 + big * spread**3)
+
+
 def bin_moments_reference(x, y, edges):
-    """Counts and raw power sums of y per bin of x, one search per bin edge set."""
+    """``group_moments_reference`` of y in each bin of x, one column per moment,
+    by a loop over the bins."""
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, len(edges) - 2)
-    counts = np.bincount(idx, minlength=len(edges) - 1).astype(float)
-    sums = {
-        power: np.bincount(idx, weights=y**power, minlength=len(edges) - 1)
-        for power in (1, 2, 3, 4)
-    }
-    return counts, sums
+    rows = [group_moments_reference(y[idx == b]) for b in range(len(edges) - 1)]
+    return [np.array(column) for column in zip(*rows)]
+
+
+#: Bin ranges for the fine-index test, by bin count: the default, a shifted
+#: one, and the finest that ``estimate_steering`` accepts (17 ulps a bin),
+#: at 1 and among the subnormals, where x / width overflows.
+FINE_RANGES = {
+    "default": lambda bins: X_RANGE,
+    "shifted": lambda bins: (-3.7, 11.3),
+    "finest": lambda bins: (1.0, 1.0 + 17 * bins * math.ulp(1.0)),
+    "subnormal": lambda bins: (0.0, 17 * bins * math.ulp(0.0)),
+}
 
 
 class TestBinning:
@@ -394,18 +460,38 @@ class TestBinning:
             y_by[name] = gen.normal(0.0, 1.5, x.size) ** 3  # signed, like q**N at odd N
         fine_min = np.min([bin_moments_reference(x_by[n], y_by[n], edges)[0] for n in x_by], axis=0)
         assert fine_min[-1] < MIN_BIN_OCCUPANCY  # the right tail is folded
-        want_edges = _merged_partition(fine_min, edges)
+        cuts = _merged_partition(fine_min)
+        # greedy: each merged bin is the shortest run of fine bins to reach the
+        # occupancy, except the last, which also takes the underfull tail
+        assert cuts[0] == 0 and cuts[-1] == len(edges) - 1
+        for start, stop in zip(cuts[:-2], cuts[1:-1]):
+            assert fine_min[start:stop].sum() >= MIN_BIN_OCCUPANCY > fine_min[start:stop - 1].sum()
+        assert fine_min[cuts[-2]:].sum() >= MIN_BIN_OCCUPANCY
 
-        merged, moments = _binned_power_sums(x_by, y_by, edges)
+        moments = _binned_moments(x_by, y_by, edges)
 
-        np.testing.assert_array_equal(merged, want_edges)
         for name in x_by:
-            counts, sums = moments[name]
-            want_counts, want_sums = bin_moments_reference(x_by[name], y_by[name], merged)
+            counts, mean, m2, m2_se2 = moments[name]
+            want_counts, want_mean, want_m2, want_se2 = bin_moments_reference(x_by[name], y_by[name], edges[cuts])
             np.testing.assert_array_equal(counts, want_counts)
             assert counts.sum() == x_by[name].size
-            for power in (1, 2, 3, 4):
-                np.testing.assert_array_equal(sums[power], want_sums[power])
+            np.testing.assert_allclose(mean, want_mean, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(m2, want_m2, rtol=1e-12)
+            np.testing.assert_allclose(m2_se2, want_se2, rtol=1e-10)
+
+    @pytest.mark.parametrize("bins", [1, 40, 128, MAX_BINS])
+    @pytest.mark.parametrize("bin_range", list(FINE_RANGES), ids=list(FINE_RANGES))
+    def test_fine_index_equals_searchsorted(self, bins, bin_range):
+        lo, hi = FINE_RANGES[bin_range](bins)
+        edges = np.linspace(lo, hi, bins + 1)
+        span = hi - lo
+        x = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [lo - span, hi + span, -1e300, 1e300, -np.finfo(float).max, np.finfo(float).max],
+            rng(41).uniform(lo - 0.1 * span, hi + 0.1 * span, 200_000),
+        ])
+        want = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
+        np.testing.assert_array_equal(_fine_bins(x, edges), want)
 
     def test_invalid_binning_rejected(self):
         with pytest.raises(ValueError):
@@ -419,6 +505,17 @@ class TestBinning:
             monkeypatch.setattr(sampling, name, lambda *args: pytest.fail("drew shots"))
         with pytest.raises(ValueError, match=r"bin_range\[0\] < bin_range\[1\]"):
             estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bin_range=bin_range)
+
+    @pytest.mark.parametrize(
+        "bins,bin_range",
+        [(40, (1.0, 1.0 + 40 * 15 * math.ulp(1.0))), (40, (0.0, 1e-322)), (40, (-1e308, 1e308))],
+        ids=["15-ulp-bins", "subnormal-width", "width-overflows"],
+    )
+    def test_unresolved_bins_refused_before_sampling(self, bins, bin_range, monkeypatch):
+        for name in ("sample_number_pair", "sample_quadrature_pair"):
+            monkeypatch.setattr(sampling, name, lambda *args: pytest.fail("drew shots"))
+        with pytest.raises(ValueError, match="wider than 16 ulps"):
+            estimate_steering(1, 0.0, LOSSLESS, "p", shots=3_000, seed=1, bins=bins, bin_range=bin_range)
 
 
 class TestShotLogValidation:
@@ -446,24 +543,28 @@ class TestShotLogValidation:
 #: var_number fields and every x outcome of the shot log did not move. The
 #: var_number fields and E were re-recorded when var_number moved from a loop
 #: over the n_a outcomes to the histogram power sums (last bits only, at most
-#: 8e-15 relative); the q-derived fields and the shot log did not move. A
-#: change to the random stream (draw order, sizes or envelope) must
-#: re-record these.
+#: 8e-15 relative); the q-derived fields and the shot log did not move. The
+#: fields were re-recorded again when every group's variance and fourth
+#: moment came from sums of powers of the deviation from the group mean
+#: instead of raw power sums, and q^N from repeated products instead of pow
+#: (at most 1.6e-13 relative, in the var_number stderr at N = 3); the merged
+#: bin counts and the shot log did not move. A change to the random stream
+#: (draw order, sizes or envelope) must re-record these.
 RECORDED_ESTIMATES = {
     (1, 0.0, 30_000, 101): (53, (
-        "0x1.b52b5f8bcdb64p-1", "0x1.0390156117070p-5", "0x1.cd4d6eb30d7f3p-5",
-        "0x1.ec35ec6d5c7d4p-10", "0x1.e93273f799351p+0", "0x1.5ad76d04ce591p-6",
+        "0x1.b52b5f8bcdb65p-1", "0x1.0390156117075p-5", "0x1.cd4d6eb30d7f7p-5",
+        "0x1.ec35ec6d5c7ecp-10", "0x1.e93273f799350p+0", "0x1.5ad76d04ce591p-6",
         "0x1.8967b57e96315p-1", "0x1.7716541d84aacp-7",
     )),
     (2, math.pi / 2, 40_003, 202): (61, (
-        "0x1.e8e7299ad681fp-1", "0x1.2d3c7a04986ecp-4", "0x1.1ee035d42ed5bp-4",
-        "0x1.6bb8588f91f91p-9", "0x1.3b01b3bb98f76p+3", "0x1.e07d069f4f2fep-3",
-        "0x1.bd36dc9fd887ep+0", "0x1.42a1428b4c131p-4",
+        "0x1.e8e7299ad6825p-1", "0x1.2d3c7a04986c6p-4", "0x1.1ee035d42ed60p-4",
+        "0x1.6bb8588f91ed4p-9", "0x1.3b01b3bb98f79p+3", "0x1.e07d069f4f305p-3",
+        "0x1.bd36dc9fd887ep+0", "0x1.42a1428b4c130p-4",
     )),
     (3, 0.0, 50_000, 303): (69, (
-        "0x1.65ac5b0177f10p+1", "0x1.6e37f4b474245p-2", "0x1.a448972841ec6p-4",
-        "0x1.d17ccbd321a41p-9", "0x1.aeb7a25b28f9dp+8", "0x1.a14c779c00293p+3",
-        "0x1.3086061290d24p+2", "0x1.d1850ea14005bp-2",
+        "0x1.65ac5b0177f15p+1", "0x1.6e37f4b4741bfp-2", "0x1.a448972841ed3p-4",
+        "0x1.d17ccbd32153bp-9", "0x1.aeb7a25b28f9dp+8", "0x1.a14c779c00293p+3",
+        "0x1.3086061290d24p+2", "0x1.d1850ea14005ap-2",
     )),
 }
 
