@@ -2,10 +2,13 @@
 
 Number pairs are drawn from the loss-model joint distribution; homodyne
 shots draw the a-mode X outcome by inverse CDF from a precomputed monotone
-table, then the b-mode quadrature from the conditional density by rejection
-against a Gaussian envelope scaled by a per-shot bound proven from exact
-wavefunction peaks, so every proposal is accepted with probability at least
-1 / (2 max_k M_k) (see ``sample_quadrature_pair``). Conditioning on the
+table, equal to np.interp bit for bit but located through a guide table of
+uniform u-cells, then the b-mode quadrature from the conditional density by
+rejection against a Gaussian envelope scaled by a per-shot bound proven from
+exact wavefunction peaks, so every proposal is accepted with probability at
+least 1 / (2 max_k M_k). The accept test divides out the factor e^{-q^2/2}
+that the density and the envelope share, which leaves one exp and a Hermite
+recurrence per proposal (see ``sample_quadrature_pair``). Conditioning on the
 continuous outcome is done by binning, which the analytic pipeline never
 needs - that makes the sampler an independent statistical oracle for every
 inferred quantity.
@@ -33,7 +36,7 @@ import numpy as np
 from numpy.polynomial.hermite import Hermite
 
 from .errors import DegenerateChannel, InsufficientBinOccupancy
-from .fock import OBSERVABLE_THETA, homodyne_combination, wavefunction_stack
+from .fock import OBSERVABLE_THETA, homodyne_combination
 from .inferred import px_density
 from .lossy import LossChannel, _branch_profiles, binomial_ladder, check_finite_phase
 
@@ -41,6 +44,8 @@ SETTING_NUMBER = "number-pair"
 
 X_TABLE_NODES = 4096
 X_RANGE = (-8.0, 8.0)
+#: Uniform u-cells of the guide table that locates a uniform draw in the x CDF.
+X_GUIDE_CELLS = 1 << 14
 MIN_BIN_OCCUPANCY = 20
 #: Most fine x bins one estimate may ask for, checked before any array is built.
 MAX_BINS = 10**6
@@ -91,15 +96,42 @@ def sample_number_pair(n_quanta: int, channel: LossChannel, rng: np.random.Gener
 
 @lru_cache(maxsize=8)
 def _x_cdf_table(n_quanta: int, eta_a: float):
+    """(xs, cdf, slope, guide) of the inverse-CDF x draw: the trapezoid CDF of
+    P(x) on the nodes xs, normalised to end at 1; np.interp's slopes
+    diff(xs) / diff(cdf), with a 0 appended for u = 1; and per u-cell
+    [c, c + 1) / X_GUIDE_CELLS the interval j = searchsorted(cdf, u, "right") - 1
+    shared by every u in the cell, or -1 where a node splits the cell (the
+    entry past the last cell is the interval of u = 1)."""
     xs = np.linspace(X_RANGE[0], X_RANGE[1], X_TABLE_NODES)
     dens = px_density(n_quanta, LossChannel(eta_a, 1.0), xs)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
-    return xs, cdf / cdf[-1]
+    cdf /= cdf[-1]
+    # the top of the CDF can hold flat steps, where the increments fall below
+    # an ulp of 1; their slope is infinite, but the search never selects
+    # one, as it puts u in the last interval that starts at or below u
+    with np.errstate(divide="ignore"):
+        slope = np.append(np.diff(xs) / np.diff(cdf), 0.0)
+    ends = np.searchsorted(cdf, np.arange(X_GUIDE_CELLS + 1) / X_GUIDE_CELLS, "right") - 1
+    guide = np.append(np.where(ends[:-1] == ends[1:], ends[:-1], -1), ends[-1])
+    return xs, cdf, slope, guide
+
+
+def _inverse_cdf(u, xs, cdf, slope, guide):
+    """np.interp(u, cdf, xs) bit for bit for u in [0, 1] (``_x_cdf_table``): the
+    interval of u comes from its guide cell (u X_GUIDE_CELLS is exact, as the
+    cell count is a power of two), searched only where a node splits the cell,
+    and the value from np.interp's own formula slope[j] (u - cdf[j]) + xs[j]."""
+    j = guide[(u * X_GUIDE_CELLS).astype(np.intp)]
+    split = np.flatnonzero(j < 0)
+    j[split] = np.searchsorted(cdf, u[split], "right") - 1
+    x = u - cdf[j]
+    x *= slope[j]
+    x += xs[j]
+    return x
 
 
 def _draw_x(n_quanta, channel, rng, size):
-    xs, cdf = _x_cdf_table(n_quanta, channel.eta_a)
-    return np.interp(rng.random(size), cdf, xs)
+    return _inverse_cdf(rng.random(size), *_x_cdf_table(n_quanta, channel.eta_a))
 
 
 @lru_cache(maxsize=None)
@@ -137,6 +169,30 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     return branch_a, psi0_sq, c_x, bound
 
 
+def _raw_over_envelope(n_quanta, ladder_b, branch_a, psi0_sq, c_x, q):
+    """raw(q) / (sigma g(q)) for the profile terms of ``_conditional_profile``.
+
+    raw and g share the factor (2 pi)^{-1/2} e^{-q^2/2}: psi_k(q)^2 is that
+    factor times He_k(q)^2 / k!, He_k the probabilists' Hermite polynomial
+    (He_{k+1} = q He_k - k He_{k-1}), and sigma g(q) is it times e^{a q^2 / 2},
+    a = 1 - 1 / sigma^2. The ratio is e^{-a q^2 / 2} R with
+    R = branch_a + psi0_sq sum_k ladder_b[k] He_k^2 / k! + c_x He_N / sqrt(N!).
+    """
+    _, sigma = _envelope_peaks(n_quanta)
+    he_prev, he, mix = 0.0, 1.0, ladder_b[0]  # He_{-1}, He_0 and the k = 0 term
+    for k in range(n_quanta):
+        he_prev, he = he, q * he - k * he_prev
+        mix = mix + (ladder_b[k + 1] / math.factorial(k + 1)) * np.square(he)
+    mix *= psi0_sq
+    mix += branch_a
+    mix += c_x * he / math.sqrt(math.factorial(n_quanta))
+    ratio = np.square(q)
+    ratio *= -0.5 * (1.0 - 1.0 / sigma**2)
+    np.exp(ratio, out=ratio)
+    ratio *= mix
+    return ratio
+
+
 def sample_quadrature_pair(
     n_quanta: int,
     phi: float,
@@ -147,11 +203,15 @@ def sample_quadrature_pair(
 ):
     """(x_a, q_b) pairs: inverse-CDF x draw, then rejection-sampled q.
 
-    A proposal q ~ g = N(0, sigma^2) is accepted when u bound(x) g(q) <= raw(q)
-    (``_conditional_profile``), with probability 2 P(x) / bound(x). As the
-    conditional block is positive, |c_x| <= c_0 + c_N for the coefficients c_k
-    of psi_k^2 in raw, so that probability is at least 1 / (2 max_k M_k)
-    (about 0.17 at N = 3) and the loop always ends.
+    x is np.interp(u, cdf, xs) on the ``_x_cdf_table`` CDF, found through the
+    table's guide cells (``_inverse_cdf``). A proposal q ~ g = N(0, sigma^2) is
+    accepted when u bound(x) g(q) <= raw(q) (``_conditional_profile``), with
+    probability 2 P(x) / bound(x); the test is taken divided by sigma g(q) as
+    u bound(x) / sigma <= e^{-a q^2 / 2} R(q) (``_raw_over_envelope``), one
+    exp per proposal and no wavefunction stack. As the conditional block is
+    positive, |c_x| <= c_0 + c_N for the coefficients c_k of psi_k^2 in raw,
+    so that probability is at least 1 / (2 max_k M_k) (about 0.17 at N = 3)
+    and the loop always ends.
     """
     if observable not in OBSERVABLE_THETA:
         raise ValueError(f"observable must be one of {sorted(OBSERVABLE_THETA)}")
@@ -161,20 +221,16 @@ def sample_quadrature_pair(
     branch_a, psi0_sq, c_x, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
     ladder_b = binomial_ladder(n_quanta, channel.eta_b)
     _, sigma = _envelope_peaks(n_quanta)
+    bound /= sigma
     q = np.empty(size)
     # shots still waiting for an accepted q, their profile terms and bounds,
     # compacted after every round
     pending = np.arange(size)
     while pending.size:
         prop = rng.normal(0.0, sigma, size=pending.size)
-        envelope = np.exp(-0.5 * (prop / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
-        psi = wavefunction_stack(n_quanta, prop)
-        raw = c_x * psi[0] * psi[n_quanta]
-        psi_sq = np.square(psi, out=psi)
-        raw += branch_a * psi_sq[0]
-        raw += psi0_sq * np.einsum("k,kx->x", ladder_b, psi_sq)
-        del psi, psi_sq  # free the stack before the compaction below
-        keep = rng.random(pending.size) * bound * envelope <= raw
+        ratio = _raw_over_envelope(n_quanta, ladder_b, branch_a, psi0_sq, c_x, prop)
+        keep = rng.random(pending.size) * bound <= ratio
+        del ratio  # free it before the compaction below
         hits = np.flatnonzero(keep)
         q[pending[hits]] = prop[hits]
         misses = np.flatnonzero(~keep)
@@ -199,16 +255,19 @@ def _homodyne_settings(n_quanta: int, which: str):
 def _merged_partition(bin_counts: np.ndarray):
     """Greedy left-to-right merge until every kept bin is occupied enough.
 
-    ``bin_counts`` is the minimum per-bin occupancy across settings. Returns
-    the merged edges as fine-edge indices; raises if not one merged bin fills.
+    ``bin_counts`` is the minimum per-bin occupancy across settings. Each cut
+    ends the shortest run of fine bins after the previous cut that holds
+    MIN_BIN_OCCUPANCY shots; a table from shot count to fine edge gives it
+    without a search. Returns the merged edges as fine-edge indices; raises
+    if not one merged bin fills.
     """
+    counts = np.asarray(bin_counts, dtype=np.intp)
+    below = np.concatenate([[0], np.cumsum(counts)])  # shots below each fine edge
+    # first_edge[v] is the first fine edge with at least v shots below it
+    first_edge = np.repeat(np.arange(below.size), np.concatenate([[1], counts]))
     cuts = [0]
-    acc = 0
-    for i, count in enumerate(bin_counts.tolist()):
-        acc += count
-        if acc >= MIN_BIN_OCCUPANCY:
-            cuts.append(i + 1)
-            acc = 0
+    while (reach := below[cuts[-1]] + MIN_BIN_OCCUPANCY) < first_edge.size:
+        cuts.append(first_edge[reach])
     if len(cuts) < 2:
         raise InsufficientBinOccupancy(
             f"fewer than {MIN_BIN_OCCUPANCY} shots per setting in every bin, "

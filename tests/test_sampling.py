@@ -16,6 +16,7 @@ from noonsteer.sampling import (
     MAX_BINS,
     MIN_BIN_OCCUPANCY,
     SETTING_NUMBER,
+    X_GUIDE_CELLS,
     X_RANGE,
     _binned_moments,
     _conditional_profile,
@@ -24,9 +25,11 @@ from noonsteer.sampling import (
     _fine_bins,
     _group_moments,
     _homodyne_settings,
+    _inverse_cdf,
     _merged_partition,
     _number_variance,
     _write_shot_log,
+    _x_cdf_table,
     estimate_steering,
     sample_number_pair,
     sample_quadrature_pair,
@@ -36,6 +39,13 @@ from noonsteer.steering import e1p_closed_form
 
 def rng(seed):
     return np.random.default_rng(seed)
+
+
+class NoProposals(np.random.Generator):
+    """A generator whose normal draws, the rejection loop's proposals, fail the test."""
+
+    def normal(self, *args, **kwargs):
+        pytest.fail("drew a proposal")
 
 
 class TestNumberSampling:
@@ -93,11 +103,10 @@ class TestQuadratureSampling:
         assert sampling._x_cdf_table.cache_info().currsize <= 8
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
-    def test_non_finite_phase_rejected_before_drawing(self, phi, monkeypatch):
+    def test_non_finite_phase_rejected_before_drawing(self, phi):
         # a NaN bound accepts no proposal, so the loop would never end; a
         # proposal draw fails the test instead of hanging it
-        monkeypatch.setattr(sampling, "wavefunction_stack", lambda *args: pytest.fail("drew a proposal"))
-        generator = rng(11)
+        generator = NoProposals(np.random.PCG64(11))
         state = generator.bit_generator.state
         with pytest.raises(ValueError, match="phase must be finite"):
             sample_quadrature_pair(1, phi, LOSSLESS, "X", generator, 10)
@@ -199,6 +208,74 @@ class TestEnvelopeBound:
                     *_, bound = _conditional_profile(n_quanta, phi, channel, theta, x)
                     two_px = 2.0 * px_density(n_quanta, channel, x)
                     assert np.all(two_px / bound >= (1.0 - 1e-12) / (2.0 * peaks.max()))
+
+
+def reference_sample_quadrature_pair(n_quanta, phi, channel, observable, gen, size):
+    """The sampler in its direct form: x by np.interp on the table's CDF, and
+    each proposal q accepted when u bound(x) g(q) <= raw(q), with g from
+    ``gaussian`` and raw from ``raw_density`` on the wavefunction stack."""
+    xs, cdf, *_ = _x_cdf_table(n_quanta, channel.eta_a)
+    x = np.interp(gen.random(size), cdf, xs)
+    profile = _conditional_profile(n_quanta, phi, channel, OBSERVABLE_THETA[observable], x)
+    _, sigma = _envelope_peaks(n_quanta)
+    q = np.empty(size)
+    pending = np.arange(size)
+    while pending.size:
+        prop = gen.normal(0.0, sigma, size=pending.size)
+        terms = [v[pending] for v in profile]
+        keep = gen.random(pending.size) * terms[3] * gaussian(prop, sigma) <= raw_density(
+            n_quanta, channel, terms, prop
+        )
+        q[pending[keep]] = prop[keep]
+        pending = pending[~keep]
+    return x, q
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestDrawParity:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_quanta=st.integers(1, 16),
+        eta_a=st.floats(0.0, 1.0, exclude_min=True),
+        u=st.lists(st.floats(0.0, 1.0), max_size=64),
+    )
+    @example(n_quanta=1, eta_a=1e-6, u=[])
+    @example(n_quanta=16, eta_a=1e-6, u=[])
+    @example(n_quanta=3, eta_a=1.0, u=[])
+    def test_guide_lookup_equals_interp(self, n_quanta, eta_a, u):
+        # every cell start, every CDF node and the float just below each node,
+        # where the interval changes
+        table = _x_cdf_table(n_quanta, eta_a)
+        xs, cdf = table[:2]
+        u = np.concatenate([
+            u, np.arange(X_GUIDE_CELLS + 1) / X_GUIDE_CELLS, cdf, np.nextafter(cdf, -np.inf)[1:],
+        ])
+        np.testing.assert_array_equal(bits(_inverse_cdf(u, *table)), bits(np.interp(u, cdf, xs)))
+
+    @pytest.mark.parametrize("n_quanta", [1, 16])
+    def test_tiny_efficiency_cdf_has_flat_top_steps(self, n_quanta):
+        # the flat steps whose infinite slopes the lookup must never select
+        _, cdf, slope, _ = _x_cdf_table(n_quanta, 1e-6)
+        assert np.any(np.diff(cdf)[cdf[:-1] > 0.5] == 0.0)
+        assert np.isinf(slope).any()
+
+    @pytest.mark.parametrize(
+        "channel",
+        [LOSSLESS, LossChannel(0.95, 0.93), LossChannel(0.3, 0.6), LossChannel(1e-6, 0.0)],
+        ids=["lossless", "0.95-0.93", "0.3-0.6", "1e-6-0"],
+    )
+    @pytest.mark.parametrize("observable", sorted(OBSERVABLE_THETA))
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3])
+    def test_matches_reference_sampler(self, n_quanta, observable, channel):
+        for seed in range(3):
+            phi = float(rng(seed).uniform(-math.pi, math.pi))
+            got = sample_quadrature_pair(n_quanta, phi, channel, observable, rng(seed), 5_000)
+            want = reference_sample_quadrature_pair(n_quanta, phi, channel, observable, rng(seed), 5_000)
+            for got_v, want_v in zip(got, want):
+                np.testing.assert_array_equal(bits(got_v), bits(want_v))
 
 
 class TestEstimator:
@@ -448,7 +525,37 @@ FINE_RANGES = {
 }
 
 
+def merged_partition_reference(bin_counts):
+    """The greedy merge as a loop over the fine bins: a cut after each bin that
+    brings the run since the last cut to MIN_BIN_OCCUPANCY, the underfull tail
+    folded into the last kept bin; None when no run fills."""
+    cuts, acc = [0], 0
+    for i, count in enumerate(bin_counts.tolist()):
+        acc += count
+        if acc >= MIN_BIN_OCCUPANCY:
+            cuts.append(i + 1)
+            acc = 0
+    if len(cuts) < 2:
+        return None
+    cuts[-1] = len(bin_counts)
+    return cuts
+
+
 class TestBinning:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.just(0) | st.integers(0, 3 * MIN_BIN_OCCUPANCY), min_size=1, max_size=300))
+    @example([MIN_BIN_OCCUPANCY - 1])
+    @example([MIN_BIN_OCCUPANCY])
+    @example([0, MIN_BIN_OCCUPANCY, 0, 0])
+    def test_merged_partition_matches_loop(self, counts):
+        counts = np.array(counts)
+        want = merged_partition_reference(counts)
+        if want is None:
+            with pytest.raises(InsufficientBinOccupancy):
+                _merged_partition(counts)
+        else:
+            np.testing.assert_array_equal(_merged_partition(counts), want)
+
     def test_fine_to_merged_lookup_matches_two_pass_reference(self):
         gen = rng(31)
         edges = np.linspace(-8.0, 8.0, 129)
