@@ -152,7 +152,8 @@ def invocations() -> list[list[str]]:
         ["eval", "--n", "8", "--phi", "pi/2", "--criterion", "x"],
         ["sweep", "--n", "12", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
     ]
-    # lossy orders N = 6..16 share the wavefunction range with lossless ones
+    # lossy orders N = 6..16 share the wavefunction range with lossless ones;
+    # the N = 12 and 16 threshold scans refine past the batch budget
     calls += [
         ["eval", "--n", "10", "--phi", "pi/2", "--eta-a", "0.9", "--eta-b", "0.95"],
         ["eval", "--n", "16", "--phi", "pi/4", "--criterion", "x", "--eta-a", "0.99", "--eta-b", "0.98",
@@ -160,6 +161,8 @@ def invocations() -> list[list[str]]:
         ["eval", "--n", "17", "--phi", "0", "--eta-a", "0.9", "--eta-b", "0.95"],
         ["threshold", "--n", "6", "--phi", "pi/2"],
         ["threshold", "--n", "7", "--phi", "0"],
+        ["threshold", "--n", "12", "--phi", "pi/2"],
+        ["threshold", "--n", "16", "--phi", "pi/2"],
         ["sweep", "--n", "8", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.005"],
     ]
     return calls

@@ -35,8 +35,8 @@ MAX_REFINEMENTS = 14
 
 #: A batched ``integrate`` call stops refining, and raises ConvergenceFailure,
 #: once rows x nodes would pass this many values (4 MB per working array), so
-#: one stalled row cannot inflate a whole batch; callers re-run such a batch
-#: one row at a time. One-row calls are not limited.
+#: one stalled row cannot inflate a whole batch; ``steering._reports`` re-runs
+#: such a batch one row at a time. One-row calls are not limited.
 BATCH_VALUE_BUDGET = 1 << 19
 
 

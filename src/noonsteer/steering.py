@@ -24,7 +24,7 @@ from .errors import (
     NoonSteerError,
     NoThresholdInBracket,
 )
-from .fock import OBSERVABLE_THETA, check_wavefunction_order, homodyne_combination, quadrature_power
+from .fock import OBSERVABLE_THETA, homodyne_combination, quadrature_power
 from .inferred import (
     _norm_which,
     commutator_phase_factor,
@@ -39,8 +39,8 @@ from .lossy import LossChannel, check_finite_phase, conditional_number_b, number
 #: Phase factors smaller than this count as an analytically zero denominator.
 PHASE_TOLERANCE = 1e-9
 
-#: Configurations per batched variance integral in ``sweep``. Bounds the
-#: (configurations x nodes) working arrays of one integrand evaluation.
+#: Configurations per batched variance integral in ``_reports`` (eval, threshold,
+#: sweep). Bounds the (configurations x nodes) working arrays of one evaluation.
 SWEEP_CHUNK = 32
 
 
@@ -110,52 +110,81 @@ def check_phase(n_quanta: int, phi: float, which: str):
         )
 
 
-def _screen(n_quanta: int, channel: LossChannel):
-    """The per-channel checks that need no quadrature."""
+def _modulus(n_quanta: int, phi: float, channel: LossChannel, which: str) -> float:
+    """The commutator modulus at a discriminating phase; DegenerateChannel if it
+    is 0 (eta_a eta_b = 0, or underflow), OutOfSupportedOrder past N = 16."""
     if channel.eta_a * channel.eta_b == 0.0:
         raise DegenerateChannel("eta_a * eta_b = 0 zeroes the denominator")
-    check_wavefunction_order(n_quanta)
-
-
-def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str):
-    """Steering reports for screened channels. Every commutator modulus is
-    formed first, so an order past the wavefunction range or a modulus that
-    underflows is reported before any quadrature runs; the variance
-    integrals then share one batched ``integrate`` call."""
-    which = _norm_which(which)
-    moduli = [inferred_commutator_modulus(n_quanta, phi, channel, which) for channel in channels]
-    if 0.0 in moduli:
-        # eta_a eta_b > 0 passes _screen, but (eta_a eta_b)^(N/2) or a phase
-        # factor near its zero can still take the modulus below the smallest float
+    modulus = inferred_commutator_modulus(n_quanta, phi, channel, which)
+    if modulus == 0.0:
+        # eta_a eta_b > 0, but (eta_a eta_b)^(N/2) or a phase factor near its
+        # zero can still take the modulus below the smallest float
         raise DegenerateChannel(f"the commutator modulus underflows to 0 at N={n_quanta}, phi={phi}")
-    var_quad = inferred_variance_quadrature(n_quanta, phi, channels, which)
-    reports = []
-    for channel, var_q, modulus in zip(channels, var_quad, moduli):
-        values = {
-            "var_number": inferred_number_variance(n_quanta, channel),
-            "var_quadrature_n": float(var_q),
-            "commutator_modulus": modulus,
-        }
-        for name, value in values.items():
-            if value < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        e_value = 2.0 * math.sqrt(values["var_number"] * values["var_quadrature_n"]) / modulus
-        reports.append(
-            SteeringReport(
-                n_quanta=n_quanta, phi=phi, channel=channel, which=which, **values,
+    return modulus
+
+
+def _attempt(evaluate, *args):
+    """``evaluate(*args)``, or the NoonSteerError it raises."""
+    try:
+        return evaluate(*args)
+    except NoonSteerError as exc:
+        return exc
+
+
+def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str) -> list:
+    """The SteeringReport or NoonSteerError of each channel, for eval, threshold
+    and sweep alike. The phase and then each ``_modulus`` are checked before any
+    quadrature; the usable channels share one batched variance integral per
+    SWEEP_CHUNK, and a chunk that fails is re-run one channel at a time, so a
+    report equals the one-channel report bit for bit. ValueErrors propagate."""
+    try:
+        check_phase(n_quanta, phi, which)
+    except NondiscriminatingPhase as exc:
+        return [exc] * len(channels)
+    which = _norm_which(which)
+    outcomes = [_attempt(_modulus, n_quanta, phi, channel, which) for channel in channels]
+    usable = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, NoonSteerError)]
+    for start in range(0, len(usable), SWEEP_CHUNK):
+        chunk = usable[start : start + SWEEP_CHUNK]
+        batch = [channels[i] for i in chunk]
+        try:
+            var_quad = inferred_variance_quadrature(n_quanta, phi, batch, which)
+        except NoonSteerError:
+            var_quad = [_attempt(inferred_variance_quadrature, n_quanta, phi, c, which) for c in batch]
+        for i, var_q in zip(chunk, var_quad):
+            if isinstance(var_q, NoonSteerError):
+                outcomes[i] = var_q
+                continue
+            modulus = outcomes[i]
+            values = {
+                "var_number": inferred_number_variance(n_quanta, channels[i]),
+                "var_quadrature_n": float(var_q),
+                "commutator_modulus": modulus,
+            }
+            for name, value in values.items():
+                if value < 0.0:
+                    raise ValueError(f"{name} must be nonnegative")
+            e_value = 2.0 * math.sqrt(values["var_number"] * values["var_quadrature_n"]) / modulus
+            outcomes[i] = SteeringReport(
+                n_quanta=n_quanta, phi=phi, channel=channels[i], which=which, **values,
                 E=e_value, violated=bool(e_value < 1.0),
             )
-        )
-    return reports
+    return outcomes
+
+
+def _raise_first(outcomes: list) -> list:
+    """``outcomes`` when none is a NoonSteerError; the first one raised otherwise."""
+    for outcome in outcomes:
+        if isinstance(outcome, NoonSteerError):
+            raise outcome
+    return outcomes
 
 
 def steering_functional(
     n_quanta: int, phi: float, channel: LossChannel, which: str = "p"
 ) -> SteeringReport:
     """Evaluate the steering ratio E for one configuration."""
-    check_phase(n_quanta, phi, which)
-    _screen(n_quanta, channel)
-    (report,) = _reports(n_quanta, phi, [channel], which)
+    (report,) = _raise_first(_reports(n_quanta, phi, [channel], which))
     return report
 
 
@@ -203,13 +232,10 @@ def threshold_efficiency(
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi <= 1.0):
         raise ValueError(f"threshold bracket needs 0 <= lo < hi <= 1, got {bracket}")
-    check_phase(n_quanta, phi, which)
 
     def e_values(etas) -> list[float]:
         channels = [_channel_for(mode, fixed_value, eta) for eta in etas]
-        for channel in channels:
-            _screen(n_quanta, channel)
-        return [report.E for report in _reports(n_quanta, phi, channels, which)]
+        return [report.E for report in _raise_first(_reports(n_quanta, phi, channels, which))]
 
     etas = np.linspace(lo, hi, 7).tolist()
     seq = e_values(etas)
@@ -266,78 +292,37 @@ def sweep(
     ``eta_a_values`` x ``eta_b_values`` product grid. Failing points are
     flagged in their row instead of aborting the sweep. Rows are sorted by
     (N, eta_a, eta_b) regardless of evaluation order. Each N is evaluated in
-    batches (see ``_sweep_slice``); a row equals ``steering_functional`` at
-    its point bit for bit.
+    batches (see ``_reports``); a row equals ``steering_functional`` at its
+    point bit for bit, and its ``which`` is the lower-case criterion.
     """
     if symmetric is not None:
         if eta_a_values is not None or eta_b_values is not None:
             raise ValueError("give either a symmetric axis or a product grid, not both")
         if len(symmetric) < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        pairs = [(eta, eta) for eta in symmetric]
+        channels = [LossChannel(eta, eta) for eta in symmetric]
     else:
         if eta_a_values is None or eta_b_values is None:
             raise ValueError("product grid needs both eta_a and eta_b values")
         if len(eta_a_values) < 2 or len(eta_b_values) < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        pairs = [(ea, eb) for ea in eta_a_values for eb in eta_b_values]
+        channels = [LossChannel(ea, eb) for ea in eta_a_values for eb in eta_b_values]
 
+    criterion = _norm_which(which)
     rows = []
     for n_quanta in orders:
         phi = phi_rule(n_quanta) if callable(phi_rule) else float(phi_rule)
-        outcomes = _sweep_slice(n_quanta, phi, which, pairs)
-        for (eta_a, eta_b), outcome in zip(pairs, outcomes):
+        # ``which`` as given, so a phase error names it as ``steering_functional`` does
+        for channel, outcome in zip(channels, _reports(n_quanta, phi, channels, which)):
             if isinstance(outcome, NoonSteerError):
                 values = {"error": f"{type(outcome).__name__}: {outcome}"}
             else:
-                values = {
-                    "var_number": outcome.var_number,
-                    "var_quadrature_n": outcome.var_quadrature_n,
-                    "commutator_modulus": outcome.commutator_modulus,
-                    "E": outcome.E,
-                    "violated": outcome.violated,
-                }
-            rows.append(
-                SweepRow(n_quanta=n_quanta, phi=phi, eta_a=eta_a, eta_b=eta_b, which=which, **values)
-            )
+                names = ("var_number", "var_quadrature_n", "commutator_modulus", "E", "violated")
+                values = {name: getattr(outcome, name) for name in names}
+            rows.append(SweepRow(n_quanta=n_quanta, phi=phi, eta_a=channel.eta_a, eta_b=channel.eta_b,
+                                 which=criterion, **values))
     rows.sort(key=lambda r: (r.n_quanta, r.eta_a, r.eta_b))
     return rows
-
-
-def _sweep_slice(n_quanta: int, phi: float, which: str, pairs) -> list:
-    """A SteeringReport or the NoonSteerError of each (eta_a, eta_b) pair,
-    exactly as ``steering_functional`` gives them, from one batched variance
-    integral per SWEEP_CHUNK screened pairs. A chunk that fails is re-run
-    one configuration at a time, so only its failing rows are flagged."""
-    try:
-        check_phase(n_quanta, phi, which)
-    except NondiscriminatingPhase as exc:
-        return [exc] * len(pairs)
-    outcomes: list = [None] * len(pairs)
-    screened = []
-    for i, (eta_a, eta_b) in enumerate(pairs):
-        channel = LossChannel(eta_a, eta_b)
-        try:
-            _screen(n_quanta, channel)
-        except NoonSteerError as exc:
-            outcomes[i] = exc
-        else:
-            screened.append((i, channel))
-    for start in range(0, len(screened), SWEEP_CHUNK):
-        chunk = screened[start : start + SWEEP_CHUNK]
-        try:
-            reports = _reports(n_quanta, phi, [channel for _, channel in chunk], which)
-        except NoonSteerError:
-            reports = []
-            for _, channel in chunk:
-                try:
-                    (report,) = _reports(n_quanta, phi, [channel], which)
-                except NoonSteerError as exc:
-                    report = exc
-                reports.append(report)
-        for (i, _), report in zip(chunk, reports):
-            outcomes[i] = report
-    return outcomes
 
 
 def protocol_combination(n_quanta: int, which: str, dim: int) -> np.ndarray:

@@ -287,6 +287,14 @@ class TestThreshold:
         payload = json.loads(out)[0]
         assert payload["eta_star"] == pytest.approx(0.917, abs=0.005)
 
+    @pytest.mark.parametrize("n_quanta", range(1, 17))
+    def test_every_supported_order_solves_at_the_caption_phase(self, capsys, n_quanta):
+        # N = 12 and 16 refine past what a batched scan may pass
+        phi = "0" if n_quanta % 2 else "pi/2"
+        code, out, err = run_cli(capsys, "threshold", "--n", str(n_quanta), "--phi", phi)
+        assert (code, err) == (0, "")
+        assert 0.9 < json.loads(out)[0]["eta_star"] <= 1.0
+
     def test_json_key_order(self, capsys):
         _, out, _ = run_cli(capsys, "threshold", "--n", "1", "--phi", "0")
         assert list(json.loads(out)[0]) == ["N", "phi", "criterion", "mode", "fixed", "eta_star"]

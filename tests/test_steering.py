@@ -150,6 +150,40 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_efficiency(1, 0.0, "p", mode="fix_eta_a")
 
+    @pytest.mark.parametrize("n_quanta", [12, 16])
+    def test_orders_refining_past_the_batch_budget_solve(self, n_quanta):
+        # near eta = 1 the variance integral of these orders refines to 12288
+        # panels, more than a batch of 7 rows may pass, so the scan falls back
+        # to one row at a time instead of failing
+        eta = threshold_efficiency(n_quanta, math.pi / 2, "p")
+
+        def e_at(eta):
+            return steering_functional(n_quanta, math.pi / 2, LossChannel(eta, eta), "p").E
+
+        assert e_at(eta - THRESHOLD_WIDTH) >= 1.0 > e_at(min(eta + THRESHOLD_WIDTH, 1.0))
+
+    def test_batch_over_budget_falls_back_to_one_row_at_a_time(self, monkeypatch):
+        default = threshold_efficiency(2, math.pi / 2, "p")
+        sizes = []
+        real = steering.inferred_variance_quadrature
+
+        def recorded(n_quanta, phi, channel, which):
+            sizes.append(1 if isinstance(channel, LossChannel) else len(channel))
+            return real(n_quanta, phi, channel, which)
+
+        monkeypatch.setattr(steering, "inferred_variance_quadrature", recorded)
+        monkeypatch.setattr(quadrature, "BATCH_VALUE_BUDGET", 4000)
+        assert threshold_efficiency(2, math.pi / 2, "p") == default
+        # the 7-row scan passes 4000 values at its first refinement
+        assert sizes[:8] == [7] + [1] * 7
+
+    def test_invalid_efficiency_is_refused_at_any_phase(self):
+        # a ValueError for the arguments comes before any per-point error
+        with pytest.raises(ValueError, match="eta_a=1.5 outside"):
+            threshold_efficiency(2, 0.0, "p", mode="fix_eta_a", fixed_value=1.5)
+        with pytest.raises(ValueError, match="eta_a=1.2 outside"):
+            sweep([2], 0.0, "p", symmetric=[0.9, 1.2])
+
     def test_zero_width_terminates(self, monkeypatch):
         default = threshold_efficiency(1, 0.0, "p")
         calls = []
@@ -374,7 +408,7 @@ class TestBatchedSweep:
     @settings(max_examples=8, deadline=None)
     @given(
         n_quanta=st.integers(min_value=1, max_value=5),
-        which=st.sampled_from(["p", "x"]),
+        which=st.sampled_from(["p", "x", "P"]),
         axis_a=etas_with_repeats,
         axis_b=etas_with_repeats,
         data=st.data(),
@@ -383,11 +417,17 @@ class TestBatchedSweep:
         # at least 7 x 7 = 49 rows, so every slice spans two chunks
         eta_a = data.draw(st.permutations([*axis_a, 1.0, axis_a[0]]))
         eta_b = data.draw(st.permutations([*axis_b, 1.0, axis_b[-1]]))
-        phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
+        phi = caption_phase(n_quanta) if which.lower() == "p" else math.pi / 2
         rows = sweep([n_quanta], phi, which, eta_a_values=eta_a, eta_b_values=eta_b)
         assert len(rows) == len(eta_a) * len(eta_b) > steering.SWEEP_CHUNK
         for row in rows:
+            assert row.which == which.lower()
             assert row_outcome(row) == point_outcome(n_quanta, phi, row.eta_a, row.eta_b, which)
+
+    def test_upper_case_criterion_gives_the_lower_case_rows(self):
+        rows = sweep([1], 0.0, "P", symmetric=[0.9, 0.95])
+        assert rows == sweep([1], 0.0, "p", symmetric=[0.9, 0.95])
+        assert [row.which for row in rows] == [steering_functional(1, 0.0, LOSSLESS, "P").which] * 2 == ["p"] * 2
 
     def test_mixed_errors_match_steering_functional(self):
         # N = 2 at phi = 0 is nondiscriminating for P; N = 17 is past the
@@ -404,6 +444,21 @@ class TestBatchedSweep:
         assert errors[(1, 0.0)][0] == errors[(6, 0.0)][0] == errors[(17, 0.0)][0] == "DegenerateChannel"
         assert errors[(17, 0.6)][0] == errors[(17, 0.95)][0] == errors[(17, 1.0)][0] == "OutOfSupportedOrder"
         assert all((6, eta) not in errors for eta in (0.6, 0.95, 1.0)) and (1, 0.6) not in errors
+        # a threshold solve raises the error of the first failing point of its scan,
+        # as eval and a sweep row give it: the phase first, then eta_a eta_b = 0,
+        # then the order
+        solves = {
+            (1, 0.0): {"bracket": (0.0, 1.0)},
+            (6, 0.0): {"mode": "fix_eta_a", "fixed_value": 0.0},
+            (17, 0.0): {"bracket": (0.0, 1.0)},
+            (17, 0.6): {},
+            (2, 0.0): {"bracket": (0.0, 1.0)},
+            (2, 0.95): {},
+        }
+        for (n, eta), kwargs in solves.items():
+            with pytest.raises(NoonSteerError) as failure:
+                threshold_efficiency(n, phases[n], "p", **kwargs)
+            assert f"{type(failure.value).__name__}: {failure.value}" == got[(n, eta)] == want[(n, eta)]
 
     def test_chunk_mixing_shared_and_distinct_eta_a_matches_bit_for_bit(self):
         # 3 x 12 points: the first chunk holds 12 + 12 + 8 rows of three eta_a
