@@ -142,9 +142,8 @@ def invocations() -> list[list[str]]:
     # lossless orders at and past SUPPORTED_WAVEFUNCTION_ORDER = 16
     calls += [["eval", "--n", str(n), "--phi", "pi/2"] for n in (16, 17, 200)]
     calls.append(["sweep", "--n", "200", "--phi", "pi/2", "--start", "0.95", "--stop", "1", "--step", "0.05"])
-    # eta_a = 1 at even N, where the variance integral refines furthest: up to
-    # 192 panels for N = 2 and 4, and past the cached levels (768 panels) to
-    # 1536 for a lossless N = 8 and 12288 for N = 12, also in a sweep row
+    # eta_a = 1 at even N, where the variance integral bisects the panels
+    # next to the near-real poles of S_N^2 / 4P, also in a sweep row
     calls += [
         ["sweep", "--n", "4", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
         ["eval", "--n", "2", "--phi", "pi/2", "--eta-a", "1", "--eta-b", "0.9"],
@@ -153,7 +152,7 @@ def invocations() -> list[list[str]]:
         ["sweep", "--n", "12", "--phi", "pi/2", "--start", "0.98", "--stop", "1", "--step", "0.01"],
     ]
     # lossy orders N = 6..16 share the wavefunction range with lossless ones;
-    # the N = 12 and 16 threshold scans refine past the batch budget
+    # the N = 12 and 16 threshold scans refine the most
     calls += [
         ["eval", "--n", "10", "--phi", "pi/2", "--eta-a", "0.9", "--eta-b", "0.95"],
         ["eval", "--n", "16", "--phi", "pi/4", "--criterion", "x", "--eta-a", "0.99", "--eta-b", "0.98",

@@ -30,7 +30,7 @@ from .lossy import (
     lossy_noon_density,
     number_marginal_a,
 )
-from .quadrature import QuadratureGrid, build_grid, default_grid, integrate, integrate_abs
+from .quadrature import integrate, integrate_abs
 from .sampling import (
     SteeringEstimate,
     estimate_steering,

@@ -36,7 +36,7 @@ from .lossy import (
     conditioning_outcomes,
     number_joint,
 )
-from .quadrature import even, integrate, integrate_abs
+from .quadrature import DEFAULT_HALF_WIDTH, integrate, integrate_abs
 
 
 def _norm_which(which: str) -> str:
@@ -74,16 +74,11 @@ def overlap_abs_integral(n_quanta: int) -> float:
     return float(np.sum(np.abs(jumps))) / math.sqrt(math.pi * 2.0**n_quanta * math.factorial(n_quanta))
 
 
-def _ladders(n_quanta: int, etas) -> np.ndarray:
-    """Binomial survival ladders, one row per efficiency: shape (C, N+1)."""
-    return np.array([binomial_ladder(n_quanta, eta) for eta in etas])
-
-
 def px_density(n_quanta: int, channel: LossChannel, x):
     """Density of the a-mode X outcome; the phase carries no X_a weight.
     ValueError unless every outcome is finite."""
     x_arr = conditioning_outcomes(x)
-    _, _, _, px = _branch_profiles(n_quanta, _ladders(n_quanta, [channel.eta_a]), x_arr)
+    _, _, _, px = _branch_profiles(n_quanta, binomial_ladder(n_quanta, [channel.eta_a]), x_arr)
     return px[0] if np.ndim(x) else float(px[0, 0])
 
 
@@ -102,8 +97,8 @@ def _moment_numerators(n_quanta, phi, channels, which, order):
     (C, N+1), for callers that need other diagonal sums of the same state."""
     check_finite_phase(phi)
     theta = OBSERVABLE_THETA[_norm_which(which).upper()]
-    ladder_a = _ladders(n_quanta, [ch.eta_a for ch in channels])
-    ladder_b = _ladders(n_quanta, [ch.eta_b for ch in channels])
+    ladder_a = binomial_ladder(n_quanta, [ch.eta_a for ch in channels])
+    ladder_b = binomial_ladder(n_quanta, [ch.eta_b for ch in channels])
     damping = np.array([ch.coherence_damping(n_quanta) for ch in channels])
     m_00 = moment_integral(order, 0, 0)
     diag_b = _diagonal_integral(n_quanta, order, ladder_b)
@@ -146,11 +141,11 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     their integrands share one batched ``integrate`` call, and each entry
     equals the one-channel value bit for bit.
 
-    The integrand is even in x bit for bit, so ``even`` evaluates it on the
-    positive nodes only. Each <x|n> has exact parity (-1)^n, so branch_a,
-    psi_0^2 and P are even, and so is psi_0 psi_N for even N. For odd N the
-    table gives exact zeros for R_N(0, 0) and R_N(k, k), so S_N reduces to
-    cross psi_0 psi_N, which flips sign exactly, and S_N^2 does not change."""
+    The integrand is even in x, so ``integrate`` takes it over [0, 12] and the
+    value is doubled. Each <x|n> has parity (-1)^n, so branch_a, psi_0^2 and P
+    are even, and so is psi_0 psi_N for even N. For odd N the table gives exact
+    zeros for R_N(0, 0) and R_N(k, k), so S_N reduces to cross psi_0 psi_N,
+    which is odd, and S_N^2 is even."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
@@ -160,7 +155,7 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
         ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
         return 0.5 * second[:, None] * px - ratio
 
-    values = integrate(even(integrand))
+    values = 2.0 * integrate(integrand, (0.0, DEFAULT_HALF_WIDTH))
     return float(values[0]) if isinstance(channel, LossChannel) else values
 
 

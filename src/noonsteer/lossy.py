@@ -71,11 +71,14 @@ class TwoModeDensity:
         return self.matrix.reshape(d, d, d, d)
 
 
-def binomial_ladder(n_quanta: int, eta: float) -> np.ndarray:
-    """P(k survivors of n_quanta) for k = 0..n_quanta."""
-    return np.array(
-        [math.comb(n_quanta, k) * eta**k * (1.0 - eta) ** (n_quanta - k) for k in range(n_quanta + 1)]
-    )
+def binomial_ladder(n_quanta: int, eta) -> np.ndarray:
+    """P(k survivors of n_quanta) for k = 0..n_quanta, for one efficiency or an
+    array of them: shape eta.shape + (n_quanta + 1,). The powers are Python's
+    float ** int, as numpy's own power can differ from it in the last bit."""
+    eta = np.asarray(eta, dtype=float)[..., None].astype(object)
+    k = np.arange(n_quanta + 1, dtype=object)
+    comb = np.array([math.comb(n_quanta, j) for j in range(n_quanta + 1)], dtype=float)
+    return comb * (eta**k).astype(float) * ((1.0 - eta) ** (n_quanta - k)).astype(float)
 
 
 def lossy_noon_density(
@@ -94,8 +97,7 @@ def lossy_noon_density(
         return na * dim + nb
 
     mat = np.zeros((dim**2, dim**2), dtype=complex)
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)
-    ladder_b = binomial_ladder(n_quanta, channel.eta_b)
+    ladder_a, ladder_b = binomial_ladder(n_quanta, [channel.eta_a, channel.eta_b])
     for k in range(n_quanta + 1):
         mat[idx(k, 0), idx(k, 0)] += 0.5 * ladder_a[k]
         mat[idx(0, k), idx(0, k)] += 0.5 * ladder_b[k]
@@ -153,8 +155,7 @@ def conditional_density_given_x(
         dim = n_quanta + 12
     if dim <= n_quanta:
         raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
-    profiles = _branch_profiles(n_quanta, ladder_a, conditioning_outcomes(x))
+    profiles = _branch_profiles(n_quanta, binomial_ladder(n_quanta, [channel.eta_a]), conditioning_outcomes(x))
     branch_a, psi0_sq, psi0_psin, px = (v.item() for v in profiles)  # one outcome, or ValueError
     if px < CONDITIONING_FLOOR:
         raise ZeroProbabilityConditioning(f"P(x={x}) = {px} below {CONDITIONING_FLOOR}")

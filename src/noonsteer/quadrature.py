@@ -1,164 +1,166 @@
-"""Composite Gauss-Legendre quadrature with nested refinement.
+"""Adaptive Gauss-Kronrod quadrature, refined panel by panel and row by row.
 
-Fixed-order panels over a symmetric interval, doubled until two successive
-levels agree. Chosen over plain Gauss-Hermite because S_N^2 / P has poles
-near the real axis. Every default-domain level is mirror-symmetric bit for
-bit, nodes and weights alike (its panel edges are exact binary fractions and
-the Gauss-Legendre rule is symmetrised), so ``even`` can hand ``integrate``
-an even integrand evaluated on the positive half only; its one caller is
-``inferred.inferred_variance_quadrature``. ``integrate_abs`` locates the
+Every panel carries the 10-point Gauss rule and its 21-point Kronrod
+extension (QUADPACK qk21), whose difference estimates the panel's error; a
+row bisects only its own panels that miss their share of its tolerance.
+Chosen over plain Gauss-Hermite because S_N^2 / P has poles near the real
+axis, which a few small panels then resolve. ``integrate_abs`` locates the
 sign changes of a kinked |f| first and integrates piecewise; it serves the
 matrix route only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceFailure
 
 DEFAULT_HALF_WIDTH = 12.0
 
-#: Gauss-Legendre nodes per panel.
-PANEL_ORDER = 10
+#: QUADPACK qk21 on [0, 1], from the outside in to the centre: the Kronrod
+#: abscissae, their Kronrod weights, and the Gauss weights, which are zero at
+#: the abscissae only the Kronrod rule uses. Mirrored, they give ascending nodes.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452, 0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493, 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784, 0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720, 0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390, 0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190, 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980029535, 0.134709217311473325928054001771707, 0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068, 0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697, 0.0,
+    0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469, 0.0,
+    0.295524224714752870173892994651338, 0.0,
+])
+KRONROD_NODES = np.concatenate([-_XGK, _XGK[-2::-1]])
+_RULES = np.array([np.concatenate([w, w[-2::-1]]) for w in (_WGK, _WG)])
+for _table in (KRONROD_NODES, _RULES):
+    _table.flags.writeable = False
+KRONROD_WEIGHTS, GAUSS_WEIGHTS = _RULES
 
-#: ``integrate`` keeps a value once it moves by at most ABS_TOL + REL_TOL |value|
-#: from the level before, and raises ConvergenceFailure after MAX_REFINEMENTS
-#: panel doublings.
+#: A row is done once the sum of its panels' error estimates is at most
+#: ABS_TOL + REL_TOL |value|; its panels then bisect where their estimate
+#: passes their width's share of that bound.
 ABS_TOL = 1e-9
 REL_TOL = 1e-12
-MAX_REFINEMENTS = 14
 
-#: A batched ``integrate`` call stops refining, and raises ConvergenceFailure,
-#: once rows x nodes would pass this many values (4 MB per working array), so
-#: one stalled row cannot inflate a whole batch; ``steering._reports`` re-runs
-#: such a batch one row at a time. One-row calls are not limited.
-BATCH_VALUE_BUDGET = 1 << 19
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Nodes and weights of a composite panel rule on [domain[0], domain[1]]."""
-
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    domain: tuple[float, float]
-    panels: int
-
-    def refined(self) -> "QuadratureGrid":
-        return build_grid(self.domain, panels=2 * self.panels)
+#: A row that would hold more panels than this, or bisect a panel 2^-_MAX_LEVEL
+#: the width of a first-pass panel, raises ConvergenceFailure; a stalled row
+#: evaluates fewer than 2 MAX_PANELS panels of 21 nodes.
+MAX_PANELS = 2048
+_MAX_LEVEL = 40
 
 
-@lru_cache(maxsize=None)
-def _base_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and
-    shared read-only by every grid."""
-    nodes, weights = leggauss(order)
+def _panel_sums(values: np.ndarray, half):
+    """(K21, error estimate) of each panel from its 21 values, shape (panels, 21).
+
+    The estimate is QUADPACK's r min(1, (200 |K21 - G10| / r)^1.5), r = int
+    |f - mean|: on a panel that does not resolve f the two sums can agree by
+    chance (|K21 - G10| 400 times below K21's own error), and it reports most of r.
+    """
+    kronrod, gauss = np.einsum("pk,wk->wp", values, _RULES)
+    spread = np.einsum("pk,k->p", np.abs(values - 0.5 * kronrod[:, None]), KRONROD_WEIGHTS)
+    difference = np.abs(kronrod - gauss)
+    # all 21 values equal where spread = 0, and K21 is exact there
+    scaled = np.divide(200.0 * difference, spread, out=np.zeros_like(spread), where=spread > 0.0)
+    return kronrod * half, spread * np.minimum(1.0, scaled * np.sqrt(scaled)) * half
+
+
+def _panel_nodes(lo: float, width: float, level: np.ndarray, index: np.ndarray):
+    """(nodes, half widths) of the panels (level, index) of a domain starting at
+    ``lo`` with first-pass panels ``width`` wide; 21 nodes a panel, in order."""
+    half = 0.5 * width * 0.5**level
+    centre = lo + (index + 0.5) * (2.0 * half)
+    return (centre[:, None] + half[:, None] * KRONROD_NODES).ravel(), half
+
+
+@lru_cache(maxsize=16)
+def _first_pass(lo: float, hi: float):
+    """(nodes, panels, half width) of the first pass over [lo, hi], two panels
+    per unit length and at least 8; the shared nodes are read-only."""
+    panels = max(8, math.ceil(2.0 * (hi - lo)))
+    nodes, half = _panel_nodes(lo, (hi - lo) / panels, np.zeros(panels, dtype=np.int64), np.arange(panels))
     nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
+    return nodes, panels, float(half[0])
 
 
-#: Default-domain levels with at most this many panels (48 to 768 in
-#: ``integrate``'s doubling, 0.24 MB in all) are built once and shared.
-CACHED_PANELS = 768
+def integrate(f, domain: tuple[float, float] = (-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH)):
+    """Integrate a vectorized real function over ``domain``, refining each row
+    until its error estimate settles.
 
-
-def build_grid(domain: tuple[float, float], panels: int = 48) -> QuadratureGrid:
+    ``f`` is called with a 1-d ndarray of nodes. It returns either values of
+    the same shape, and the integral comes back as a float, or shape
+    (C, nodes) for C integrands at once, and a length-C array comes back.
+    The first call covers the domain with ``_first_pass``. Each later call
+    evaluates the halves of the panels that the pending rows bisect, and a
+    row keeps the Kronrod sum of its own panels, added in position order,
+    once it meets the tolerance above. A row's panels, and so its value, do
+    not depend on the rows beside it. Raises ConvergenceFailure at once for a
+    non-finite pending row, or when a row would pass MAX_PANELS or _MAX_LEVEL.
+    """
     lo, hi = float(domain[0]), float(domain[1])
     if not hi > lo:
         raise ValueError("empty integration domain")
-    if (lo, hi) == (-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH) and panels <= CACHED_PANELS:
-        return _default_level(panels)
-    return _panel_rule(lo, hi, panels)
-
-
-@lru_cache(maxsize=8)
-def _default_level(panels: int) -> QuadratureGrid:
-    """A default-domain level, keyed on its panel count alone and read-only,
-    like ``_base_rule``."""
-    grid = _panel_rule(-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH, panels)
-    grid.nodes.flags.writeable = False
-    grid.weights.flags.writeable = False
-    return grid
-
-
-def _panel_rule(lo: float, hi: float, panels: int) -> QuadratureGrid:
-    base_x, base_w = _base_rule(PANEL_ORDER)
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    weights = (half[:, None] * base_w[None, :]).ravel()
-    return QuadratureGrid(nodes=nodes, weights=weights, domain=(lo, hi), panels=panels)
-
-
-def default_grid() -> QuadratureGrid:
-    return build_grid((-DEFAULT_HALF_WIDTH, DEFAULT_HALF_WIDTH))
-
-
-def even(f):
-    """``f`` for an integrand that is even in x bit for bit, evaluated on the
-    positive half of mirror-symmetric nodes and mirrored, so the caller
-    receives the same full-length values in the same order. ValueError for
-    nodes that are not mirror pairs bit for bit."""
-
-    def mirrored(x):
-        if x.size % 2 or not np.array_equal(x, -x[::-1]):
-            raise ValueError("nodes are not mirror-symmetric")
-        half = f(x[x.size // 2 :])
-        return np.concatenate([half[..., ::-1], half], axis=-1)
-
-    return mirrored
-
-
-def integrate(f, grid: QuadratureGrid | None = None) -> float | np.ndarray:
-    """Integrate a vectorized real function, refining until stable.
-
-    ``f`` is called with the ndarray of nodes. It returns either values of
-    the same shape, and the integral comes back as a float, or shape
-    (C, nodes) for C integrands at once, and a length-C array comes back.
-    Each row keeps the value of the first level at which it agrees with the
-    level before within ``ABS_TOL + REL_TOL * |value|``, and each row is summed
-    on its own, so a row's result does not depend on the rows beside it.
-    Every default-domain level is mirror-symmetric bit for bit, which
-    ``inferred_variance_quadrature`` relies on through ``even``.
-    Raises ConvergenceFailure if ``MAX_REFINEMENTS`` panel doublings leave
-    any row above tolerance (at once for a non-finite value), or if a batch
-    outgrows ``BATCH_VALUE_BUDGET``.
-    """
-    if grid is None:
-        grid = default_grid()
-    previous = np.asarray(np.sum(f(grid.nodes) * grid.weights, axis=-1))
-    result = np.empty_like(previous)
-    pending = np.ones(previous.shape, dtype=bool)
-    delta = np.full(previous.shape, np.inf)
-    for _ in range(MAX_REFINEMENTS):
-        grid = grid.refined()
-        if previous.size > 1 and previous.size * grid.nodes.size > BATCH_VALUE_BUDGET:
-            raise ConvergenceFailure(
-                f"batch of {previous.size} rows would pass {BATCH_VALUE_BUDGET} values at "
-                f"panels={grid.panels}; largest unconverged delta {np.max(delta[pending]):.3e}"
-            )
-        current = np.asarray(np.sum(f(grid.nodes) * grid.weights, axis=-1))
-        delta = np.abs(current - previous)
-        if not np.isfinite(delta[pending]).all():
-            raise ConvergenceFailure(f"integral is not finite at panels={grid.panels}")
-        converged = pending & (delta <= ABS_TOL + REL_TOL * np.abs(current))
-        result[converged] = current[converged]
-        pending &= ~converged
+    nodes, first, half = _first_pass(lo, hi)
+    values = np.asarray(f(nodes))
+    scalar = values.ndim == 1
+    values = values.reshape(-1, KRONROD_NODES.size)
+    n_rows = values.shape[0] // first
+    kronrod, error = _panel_sums(values, half)
+    # one record per panel of a pending row, grouped by row and in position order;
+    # the panel of a record is (level, index), built once a row is pending
+    row = np.repeat(np.arange(n_rows), first)
+    level = index = None
+    result = np.empty(n_rows)
+    pending = np.ones(n_rows, dtype=bool)
+    while True:
+        panels = np.bincount(row, minlength=n_rows)
+        value = np.bincount(row, kronrod, minlength=n_rows)
+        estimate = np.bincount(row, error, minlength=n_rows)
+        bad = pending & ~(np.isfinite(value) & np.isfinite(estimate))
+        if bad.any():
+            raise ConvergenceFailure(f"integral is not finite on {panels[bad][0]} panels")
+        bound = ABS_TOL + REL_TOL * np.abs(value)
+        done = pending & (estimate <= bound)
+        result[done] = value[done]
+        pending &= ~done
         if not pending.any():
-            return float(result) if result.ndim == 0 else result
-        previous = current
-    rows = "" if delta.ndim == 0 else f" (largest of {int(pending.sum())} unconverged rows)"
-    raise ConvergenceFailure(
-        f"refinement stalled at panels={grid.panels} with last delta "
-        f"{np.max(delta[pending]):.3e}{rows}"
-    )
+            return float(result[0]) if scalar else result
+        if level is None:
+            level = np.zeros(row.size, dtype=np.int64)
+            index = np.tile(np.arange(first), n_rows)
+        keep = pending[row]
+        row, level, index, kronrod, error = (a[keep] for a in (row, level, index, kronrod, error))
+        split = error > bound[row] * 0.5**level / first
+        grown = panels + np.bincount(row, split, minlength=n_rows)
+        deepest = np.bincount(row[split & (level == _MAX_LEVEL)], minlength=n_rows) > 0
+        over = pending & ((grown > MAX_PANELS) | deepest)
+        if over.any():
+            worst = np.argmax(np.where(over, estimate, -1.0))
+            raise ConvergenceFailure(
+                f"refinement stalled at {panels[worst]} panels (cap {MAX_PANELS}) with error estimate "
+                f"{estimate[worst]:.3e}" + ("" if n_rows == 1 else f" (largest of {int(over.sum())} stalled rows)")
+            )
+        # each bisected panel becomes its two halves, in place
+        copies = 1 + split
+        new = np.repeat(split, copies)
+        right = np.arange(new.size) - np.repeat(np.cumsum(copies) - copies, copies)
+        row, kronrod, error = np.repeat(row, copies), np.repeat(kronrod, copies), np.repeat(error, copies)
+        level = np.repeat(level, copies) + new
+        index = np.repeat(index, copies) * (1 + new) + right
+        # rows that bisect the same panel share its nodes
+        keys, where = np.unique((level[new] << 48) | index[new], return_inverse=True)
+        nodes, half = _panel_nodes(lo, (hi - lo) / first, keys >> 48, keys & ((1 << 48) - 1))
+        values = np.asarray(f(nodes)).reshape(n_rows, keys.size, KRONROD_NODES.size)
+        kronrod[new], error[new] = _panel_sums(values[row[new], where], half[where])
 
 
 def _sign_change_points(f, domain, scan_points):
@@ -204,6 +206,5 @@ def integrate_abs(f) -> float:
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi - lo < 1e-13:
             continue
-        panels = max(8, int(np.ceil(2.0 * (hi - lo))))
-        total += abs(integrate(f, build_grid((lo, hi), panels=panels)))
+        total += abs(integrate(f, (lo, hi)))
     return total

@@ -100,8 +100,8 @@ def _x_cdf_table(n_quanta: int, eta_a: float):
     P(x) on the nodes xs, normalised to end at 1; np.interp's slopes
     diff(xs) / diff(cdf), with a 0 appended for u = 1; and per u-cell
     [c, c + 1) / X_GUIDE_CELLS the interval j = searchsorted(cdf, u, "right") - 1
-    shared by every u in the cell, or -1 where a node splits the cell (the
-    entry past the last cell is the interval of u = 1)."""
+    at the start of the cell, or -1 where more than one node lies inside it
+    (the entry past the last cell, for u = 1, is the interval before last)."""
     xs = np.linspace(X_RANGE[0], X_RANGE[1], X_TABLE_NODES)
     dens = px_density(n_quanta, LossChannel(eta_a, 1.0), xs)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
@@ -112,18 +112,19 @@ def _x_cdf_table(n_quanta: int, eta_a: float):
     with np.errstate(divide="ignore"):
         slope = np.append(np.diff(xs) / np.diff(cdf), 0.0)
     ends = np.searchsorted(cdf, np.arange(X_GUIDE_CELLS + 1) / X_GUIDE_CELLS, "right") - 1
-    guide = np.append(np.where(ends[:-1] == ends[1:], ends[:-1], -1), ends[-1])
+    guide = np.append(np.where(np.diff(ends) <= 1, ends[:-1], -1), cdf.size - 2)
     return xs, cdf, slope, guide
 
 
 def _inverse_cdf(u, xs, cdf, slope, guide):
-    """np.interp(u, cdf, xs) bit for bit for u in [0, 1] (``_x_cdf_table``): the
-    interval of u comes from its guide cell (u X_GUIDE_CELLS is exact, as the
-    cell count is a power of two), searched only where a node splits the cell,
-    and the value from np.interp's own formula slope[j] (u - cdf[j]) + xs[j]."""
+    """np.interp(u, cdf, xs) bit for bit for u in [0, 1] (``_x_cdf_table``): j is
+    u's guide entry (u X_GUIDE_CELLS is exact, the cell count being a power of
+    two), searched only in cells with more than one node, plus 1 if u reaches the
+    next node; the value is np.interp's own formula slope[j] (u - cdf[j]) + xs[j]."""
     j = guide[(u * X_GUIDE_CELLS).astype(np.intp)]
-    split = np.flatnonzero(j < 0)
-    j[split] = np.searchsorted(cdf, u[split], "right") - 1
+    crowded = np.flatnonzero(j < 0)
+    j[crowded] = np.searchsorted(cdf, u[crowded], "right") - 1
+    j += u >= cdf[j + 1]
     x = u - cdf[j]
     x *= slope[j]
     x += xs[j]
@@ -159,8 +160,7 @@ def _conditional_profile(n_quanta, phi, channel, theta, x):
     + (sum_k ladder_b[k] M_k) psi0_sq + sqrt(M_0 M_N) |c_x| (``_envelope_peaks``):
     as |psi_0 psi_N| / g <= sqrt(M_0 M_N), raw <= bound g at every q.
     """
-    ladder_a = binomial_ladder(n_quanta, channel.eta_a)[None, :]
-    (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, ladder_a, x)
+    (branch_a,), psi0_sq, psi0_psin, _ = _branch_profiles(n_quanta, binomial_ladder(n_quanta, [channel.eta_a]), x)
     psi0_sq = psi0_sq.copy()  # a view would keep the whole stack alive
     c_x = 2.0 * channel.coherence_damping(n_quanta) * math.cos(n_quanta * theta - phi) * psi0_psin
     peaks, _ = _envelope_peaks(n_quanta)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noonsteer import inferred
 from noonsteer.errors import OutOfSupportedOrder, ZeroProbabilityConditioning
 from noonsteer.inferred import (
     _diagonal_integral,
@@ -37,6 +38,11 @@ from noonsteer.lossy import (
 )
 
 mid_etas = st.floats(min_value=0.05, max_value=1.0)
+
+
+def bits(values):
+    """The IEEE-754 bit patterns of a float array, for bitwise comparison."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
 def ideal_px_n2(x):
@@ -141,8 +147,8 @@ class TestConditionalMoments:
 
 
 def full_node_variance(n_quanta, phi, channel, which):
-    """Reference ``inferred_variance_quadrature``: the same integrand, evaluated
-    at every node of each level instead of on the positive half."""
+    """Reference ``inferred_variance_quadrature``: the same integrand,
+    integrated over [-12, 12] instead of doubled from [0, 12]."""
     channels = [channel] if isinstance(channel, LossChannel) else list(channel)
     numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
@@ -184,6 +190,22 @@ class TestInferredVariance:
         x_var = inferred_variance_quadrature(n_quanta, math.pi / 2, channel, "x")
         p_var = inferred_variance_quadrature(n_quanta, math.pi / 2, channel, "p")
         assert abs(x_var - p_var) < 1e-8
+
+    @pytest.mark.parametrize(
+        "n_quanta,uniform_nodes",
+        [(6, 7440), (8, 15120), (10, 30480), (12, 122640), (14, 61200), (16, 122640)],
+    )
+    def test_few_nodes_at_unit_efficiency(self, n_quanta, uniform_nodes, monkeypatch):
+        # at eta = (1, 1), P nearly vanishes at the outer zeros of psi_N and
+        # S_N^2 / 4P has poles just off the real axis there; only the panels
+        # near them bisect. ``uniform_nodes`` is what doubling every panel of
+        # [0, 12] at once, from 24 10-point panels until two levels agree, evaluates.
+        real, nodes = inferred.integrate, []
+        monkeypatch.setattr(
+            inferred, "integrate", lambda f, domain: real(lambda x: nodes.append(x.size) or f(x), domain)
+        )
+        inferred_variance_quadrature(n_quanta, math.pi / 2, LOSSLESS, "p")
+        assert sum(nodes) <= uniform_nodes / 10
 
     @settings(max_examples=12, deadline=None)
     @given(eta_b=st.floats(min_value=0.0, max_value=1.0), eta_a=mid_etas)
@@ -234,11 +256,27 @@ class TestInferredVariance:
         batched=st.booleans(),
     )
     def test_positive_half_equals_full_nodes_bit_for_bit(self, case, which, phi, batched):
+        # the integrand is even bit for bit on every node it is evaluated on, so
+        # doubling its integral over [0, 12] is the full-domain integral
         n_quanta, channels = case
         channel = channels if batched else channels[0]
-        got = np.atleast_1d(inferred_variance_quadrature(n_quanta, phi, channel, which))
+        real, seen = inferred.integrate, []
+
+        def recording(f, domain):
+            seen.append((f, domain))
+            return real(lambda x: seen.append(x) or f(x), domain)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inferred, "integrate", recording)
+            got = np.atleast_1d(inferred_variance_quadrature(n_quanta, phi, channel, which))
+        (integrand, domain), *nodes = seen
+        assert domain == (0.0, 12.0)
+        x = np.concatenate(nodes)
+        assert np.array_equal(bits(integrand(x)), bits(integrand(-x)))
         want = np.atleast_1d(full_node_variance(n_quanta, phi, channel, which))
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=2e-9)
+        singles = [inferred_variance_quadrature(n_quanta, phi, c, which) for c in channels[: got.size]]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in singles]
 
 
 class TestInferredNumberVariance:

@@ -12,6 +12,7 @@ from noonsteer.lossy import (
     LOSSLESS,
     LossChannel,
     TwoModeDensity,
+    binomial_ladder,
     conditional_density_given_x,
     conditional_number_b,
     conditioned_b_blocks,
@@ -164,7 +165,26 @@ class TestConditionalDensity:
             conditional_density_given_x(2, phi, LOSSLESS, 0.3, dim=4)
 
 
+def scalar_ladder(n_quanta, eta):
+    """Reference ladder: one Python float ** int per entry."""
+    return [math.comb(n_quanta, k) * eta**k * (1.0 - eta) ** (n_quanta - k) for k in range(n_quanta + 1)]
+
+
 class TestNumberTables:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=16),
+        values=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 0.5, 1e-300]), etas), min_size=1, max_size=12),
+    )
+    def test_ladder_of_an_array_equals_the_scalar_form(self, n, values):
+        # numpy's own power can differ from float ** int in the last bit; the
+        # x table of the sampler reads these ladders, so they stay bit-identical
+        got = binomial_ladder(n, np.reshape(values, (-1, 1)))
+        assert got.shape == (len(values), 1, n + 1)
+        want = np.array([[scalar_ladder(n, eta)] for eta in values])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert binomial_ladder(n, values[0]).tolist() == scalar_ladder(n, values[0])
+
     def test_lossless_marginal(self):
         marginal = number_marginal_a(3, LOSSLESS)
         assert marginal[3] == pytest.approx(0.5)

@@ -9,11 +9,18 @@ from numpy.polynomial.legendre import leggauss
 from noonsteer import quadrature
 from noonsteer.errors import ConvergenceFailure
 from noonsteer.fock import wavefunction_stack
-from noonsteer.quadrature import build_grid, default_grid, even, integrate, integrate_abs
+from noonsteer.quadrature import KRONROD_NODES, MAX_PANELS, integrate, integrate_abs
+
+PANEL_NODES = KRONROD_NODES.size
 
 
 def gaussian_wave(width, freq):
     return lambda x: np.exp(-x * x / (2.0 * width * width)) * np.cos(freq * x)
+
+
+def gaussian_wave_integral(width, freq):
+    """int e^{-x^2 / 2 w^2} cos(f x) dx over the real line."""
+    return width * math.sqrt(2.0 * math.pi) * np.exp(-((width * freq) ** 2) / 2.0)
 
 
 def bits(values):
@@ -21,67 +28,93 @@ def bits(values):
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
 
 
-def default_levels():
-    """Default-domain levels with 48 * 2^k panels, k = 0..10."""
-    return [build_grid(default_grid().domain, panels=48 * 2**k) for k in range(11)]
+def recorded(f):
+    """``f`` and the node arrays it is called with, one per ``integrate`` round."""
+    calls = []
+
+    def g(x):
+        calls.append(x.copy())
+        return f(x)
+
+    return g, calls
 
 
 def levels_used(f):
-    """Integrand evaluations a one-row ``integrate`` call makes."""
-    calls = []
-    integrate(lambda x: calls.append(None) or f(x))
+    """Integrand calls a one-row ``integrate`` call makes."""
+    g, calls = recorded(f)
+    integrate(g)
     return len(calls)
+
+
+def panel_nodes(lo, hi):
+    """The Kronrod nodes of one panel [lo, hi]."""
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * KRONROD_NODES
+
+
+def panels_of(x):
+    """(centre, half width) of each panel of a round's nodes."""
+    panels = x.reshape(-1, PANEL_NODES)
+    return panels[:, PANEL_NODES // 2], (panels[:, -1] - panels[:, 0]) / (2.0 * KRONROD_NODES[-1])
+
+
+def stalling(x):
+    return np.sin(1e5 * x * x)
 
 
 class TestGrid:
     def test_gaussian_on_raw_grid(self):
-        # the default grid itself must already nail the Gaussian
-        grid = default_grid()
-        value = float(np.dot(grid.weights, np.exp(-grid.nodes**2 / 2)))
-        assert value == pytest.approx(math.sqrt(2 * math.pi), abs=1e-10)
+        # the first pass alone must already nail the Gaussian
+        g, calls = recorded(lambda x: np.exp(-x * x / 2))
+        assert integrate(g) == pytest.approx(math.sqrt(2 * math.pi), abs=1e-10)
+        assert len(calls) == 1
 
     def test_domain_covers_twelve(self):
-        grid = default_grid()
-        assert grid.domain[0] <= -12.0 and grid.domain[1] >= 12.0
+        # two panels per unit length, at least 8: 48 on [-12, 12], 24 on [0, 12]
+        for domain, panels in (((-12.0, 12.0), 48), ((0.0, 12.0), 24), ((0.25, 1.5), 8)):
+            g, calls = recorded(lambda x: np.exp(-x * x))
+            integrate(g, domain)
+            edges = np.linspace(*domain, panels + 1)
+            want = np.concatenate([panel_nodes(a, b) for a, b in zip(edges[:-1], edges[1:])])
+            np.testing.assert_allclose(calls[0], want, rtol=0, atol=1e-14)
 
     def test_refinement_doubles_panels(self):
-        grid = default_grid()
-        assert grid.refined().panels == 2 * grid.panels
+        # a round evaluates both halves of each panel it bisects, side by side,
+        # and each bisected panel is one evaluated before
+        g, calls = recorded(gaussian_wave(0.5, 80.0))
+        integrate(g)
+        assert len(calls) >= 3
+        seen = set()
+        for x in calls:
+            centre, half = panels_of(x)
+            if seen:
+                assert centre.size % 2 == 0
+                left, right = slice(0, None, 2), slice(1, None, 2)
+                np.testing.assert_array_equal(half[left], half[right])
+                np.testing.assert_allclose(centre[left] + half[left], centre[right] - half[right], atol=1e-14)
+                parents = zip((centre[left] + half[left]).round(12), (2 * half[left]).round(12))
+                assert set(parents) <= seen
+            seen |= set(zip(centre.round(12), half.round(12)))
 
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError):
-            build_grid((1.0, 1.0))
+            integrate(np.exp, (1.0, 1.0))
 
     def test_base_rule_is_cached_read_only_and_exact(self):
-        nodes, weights = quadrature._base_rule(10)
-        fresh_nodes, fresh_weights = leggauss(10)
-        assert np.array_equal(nodes, fresh_nodes) and np.array_equal(weights, fresh_weights)
-        assert not nodes.flags.writeable and not weights.flags.writeable
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
-        assert quadrature._base_rule(10)[0] is nodes
-
-    def test_default_levels_are_cached_read_only(self):
-        levels = [default_grid()]
-        while levels[-1].panels < quadrature.CACHED_PANELS:
-            levels.append(levels[-1].refined())
-        for level in levels:
-            fresh = quadrature._panel_rule(*level.domain, level.panels)
-            assert np.array_equal(level.nodes, fresh.nodes) and np.array_equal(level.weights, fresh.weights)
-            for values in (level.nodes, level.weights):
-                with pytest.raises(ValueError):
-                    values[0] = 0.0
-            assert build_grid(level.domain, panels=level.panels) is level
-
-    def test_level_cache_stays_bounded(self):
-        default_grid()
-        size = quadrature._default_level.cache_info().currsize
-        for lo in np.linspace(-11.5, 11.0, 20):  # integrate_abs-style segments
-            segment = build_grid((lo, 12.0), panels=8)
-            assert segment.nodes.flags.writeable and build_grid((lo, 12.0), panels=8) is not segment
-        fine = build_grid((-12.0, 12.0), panels=2 * quadrature.CACHED_PANELS)
-        assert fine.nodes.flags.writeable
-        assert quadrature._default_level.cache_info().currsize == size
+        # QUADPACK qk21: G10 is numpy's 10-point Gauss-Legendre rule, exact to
+        # degree 19, and K21 extends it to degree 31
+        gauss_x, gauss_w = leggauss(10)
+        gauss = quadrature.GAUSS_WEIGHTS != 0.0
+        np.testing.assert_allclose(KRONROD_NODES[gauss], gauss_x, rtol=0, atol=2e-16)
+        np.testing.assert_allclose(quadrature.GAUSS_WEIGHTS[gauss], gauss_w, rtol=0, atol=3e-16)
+        for degree in range(34):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            kronrod = np.sum(quadrature.KRONROD_WEIGHTS * KRONROD_NODES**degree)
+            g10 = np.sum(quadrature.GAUSS_WEIGHTS * KRONROD_NODES**degree)
+            assert (abs(kronrod - exact) < 1e-15) == (degree <= 31 or degree % 2 == 1), degree
+            assert (abs(g10 - exact) < 1e-15) == (degree <= 19 or degree % 2 == 1), degree
+        for table in (KRONROD_NODES, quadrature.KRONROD_WEIGHTS, quadrature.GAUSS_WEIGHTS):
+            with pytest.raises(ValueError):
+                table[0] = 0.0
 
 
 class TestIntegrate:
@@ -98,117 +131,96 @@ class TestIntegrate:
         value = integrate(lambda x: x**24 * np.exp(-x * x / 2))
         assert value == pytest.approx(double_fact * math.sqrt(2 * math.pi), rel=1e-9)
 
-    def test_convergence_failure(self, monkeypatch):
-        def f(x):
-            return np.sin(1e5 * x * x)
+    def test_oscillating_gaussians(self):
+        # |K21 - G10| alone can sit 400 times below K21's own error on a panel
+        # that does not resolve the wave; the scaled estimate keeps every value
+        # well inside the absolute tolerance
+        freqs = np.linspace(0.0, 200.0, 81)
+        for width in np.linspace(0.3, 1.5, 13):
+            values = integrate(lambda x: np.exp(-x * x / (2 * width * width)) * np.cos(np.multiply.outer(freqs, x)))
+            error = np.abs(values - gaussian_wave_integral(width, freqs))
+            assert np.max(error) <= 1e-9, (width, freqs[np.argmax(error)], np.max(error))
 
-        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
+    def test_convergence_failure(self):
+        g, calls = recorded(stalling)
         with pytest.raises(ConvergenceFailure) as failure:
-            integrate(f)
-        grids = [default_grid()]
-        for _ in range(3):
-            grids.append(grids[-1].refined())
-        last, before = (np.sum(f(g.nodes) * g.weights) for g in grids[:-3:-1])
-        delta = abs(last - before)
-        assert delta > 0.0
-        assert str(failure.value) == f"refinement stalled at panels=384 with last delta {delta:.3e}"
+            integrate(g)
+        # every panel bisects in every round: 48, 96, ..., 1536 panels, and
+        # 3072 would pass the cap
+        assert [x.size for x in calls] == [48 * 2**k * PANEL_NODES for k in range(6)]
+        message = str(failure.value)
+        assert message.startswith(f"refinement stalled at 1536 panels (cap {MAX_PANELS}) with error estimate ")
+        assert float(message.split()[-1]) > 1e-9
 
-    def test_batch_failure_reports_largest_unconverged_delta(self, monkeypatch):
-        rows = [lambda x: np.sin(1e5 * x * x), gaussian_wave(1.0, 0.0), lambda x: 0.5 * np.sin(1e5 * x * x)]
-        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
+    def test_stalled_row_stays_under_the_panel_cap(self):
+        # however it stalls, a row evaluates fewer than 2 MAX_PANELS panels;
+        # a non-integrable pole bisects ever closer to 0 and stops at the depth limit
+        for f in (stalling, lambda x: 1.0 / np.abs(x), lambda x: np.cos(1e3 * x) / np.abs(x)):
+            g, calls = recorded(f)
+            with pytest.raises(ConvergenceFailure, match="refinement stalled"):
+                integrate(g)
+            assert sum(x.size for x in calls) < 2 * MAX_PANELS * PANEL_NODES
+
+    def test_batch_failure_reports_largest_unconverged_delta(self):
+        rows = [stalling, gaussian_wave(1.0, 0.0), lambda x: 0.5 * stalling(x)]
         with pytest.raises(ConvergenceFailure) as failure:
             integrate(lambda x: np.stack([f(x) for f in rows]))
-        deltas = []
+        estimates = []
         for f in rows[::2]:
             with pytest.raises(ConvergenceFailure) as single:
                 integrate(f)
-            deltas.append(float(str(single.value).split()[-1]))
-        assert f"last delta {max(deltas):.3e} (largest of 2 unconverged rows)" in str(failure.value)
+            estimates.append(str(single.value))
+        # each stalled row refines as it does alone; the message is the larger one's
+        assert str(failure.value) == f"{estimates[0]} (largest of 2 stalled rows)"
+        assert float(estimates[0].split()[-1]) > float(estimates[1].split()[-1])
 
     def test_non_finite_integrand_fails_at_once(self):
         calls = []
 
-        def nan_from_third_level(x):
-            # levels 1 and 2 disagree, so the row is still pending at level 3
+        def nan_from_second_round(x):
             calls.append(None)
-            return np.exp(-x * x) * (len(calls) if len(calls) < 3 else np.nan)
+            wave = gaussian_wave(0.5, 40.0)(x)
+            return wave if len(calls) < 2 else np.full_like(x, np.nan)
 
-        with pytest.raises(ConvergenceFailure, match="not finite at panels=96"):
+        with pytest.raises(ConvergenceFailure, match="^integral is not finite on 48 panels$"):
             integrate(lambda x: calls.append(None) or np.full_like(x, np.nan))
-        assert len(calls) <= 2
-        # a row that turns non-finite at a later level fails there, in a batch too
+        assert len(calls) == 1
+        # a row that turns non-finite in a later round fails there, in a batch too
         calls.clear()
-        with pytest.raises(ConvergenceFailure, match="not finite at panels=192"):
-            integrate(lambda x: np.stack([np.exp(-x * x), nan_from_third_level(x)]))
-        assert len(calls) == 3
+        with pytest.raises(ConvergenceFailure, match=r"^integral is not finite on \d+ panels$"):
+            integrate(lambda x: np.stack([np.exp(-x * x), nan_from_second_round(x)]))
+        assert len(calls) == 2
 
-    def test_batch_outgrowing_its_budget_fails(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "BATCH_VALUE_BUDGET", 4000)
-        stack = lambda x: np.stack([np.sin(1e5 * x * x), np.exp(-x * x)])
-        with pytest.raises(ConvergenceFailure, match="batch of 2 rows would pass 4000 values at panels=384"):
-            integrate(stack)
-        # a one-row call is never cut short by the budget
-        assert integrate(lambda x: np.exp(-x * x)) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
-
-
-def one_node_moved_by_one_ulp(nodes):
-    moved = nodes.copy()
-    moved[3] = np.nextafter(moved[3], 0.0)
-    return moved
+    def test_large_batch_is_never_cut_short(self):
+        # a batch fails only for a row that fails alone, whatever its size
+        freqs = np.linspace(0.0, 60.0, 400)
+        values = integrate(lambda x: np.exp(-x * x / 2) * np.cos(np.multiply.outer(freqs, x)))
+        np.testing.assert_allclose(values, gaussian_wave_integral(1.0, freqs), rtol=0, atol=1e-10)
+        assert [v.hex() for v in values[::57].tolist()] == [
+            integrate(gaussian_wave(1.0, f)).hex() for f in freqs[::57]
+        ]
 
 
 class TestMirror:
-    def test_default_levels_are_mirror_symmetric(self):
-        for level in default_levels():
-            assert level.nodes.size % 2 == 0 and level.nodes[level.nodes.size // 2] > 0.0
-            assert np.array_equal(bits(level.nodes), bits(-level.nodes[::-1]))
-            assert np.array_equal(bits(level.weights), bits(level.weights[::-1]))
-
     def test_wavefunction_rows_have_exact_parity_on_the_levels(self):
-        # matching windows from either end, so the stack never holds a whole deep level
+        # the nodes of every panel of [0, 12] at levels 0..5 (a stalled row
+        # bisects them all) and their mirror images: <x|n> has parity (-1)^n bit
+        # for bit, so a product of two of them is even or odd bit for bit, and an
+        # even integrand can be integrated over [0, 12] and doubled
+        g, calls = recorded(stalling)
+        with pytest.raises(ConvergenceFailure):
+            integrate(g, (0.0, 12.0))
+        assert len(calls) == 7
         order = 16
         sign = (-1.0) ** np.arange(order + 1)[:, None]
-        for level in default_levels():
-            x, size = level.nodes, level.nodes.size
-            for start in range(0, size // 2, 1 << 15):
-                stop = min(start + (1 << 15), size // 2)
-                left = wavefunction_stack(order, x[start:stop])
-                right = wavefunction_stack(order, x[size - stop : size - start])
-                assert np.array_equal(bits(left), bits(sign * right[:, ::-1]))
-
-    def test_even_evaluates_the_positive_half_and_mirrors_it(self):
-        seen = []
-
-        def f(x):
-            seen.append(x.copy())
-            return np.stack([x * x, np.cos(x)])
-
-        nodes = default_grid().nodes
-        values = even(f)(nodes)
-        assert len(seen) == 1 and np.array_equal(seen[0], nodes[nodes.size // 2 :])
-        assert np.array_equal(bits(values), bits(f(nodes)))
-
-    @pytest.mark.parametrize(
-        "nodes",
-        [
-            np.array([-1.0, 0.5]),
-            np.array([-1.0, 0.0, 1.0]),
-            one_node_moved_by_one_ulp(default_grid().nodes),
-            build_grid((-12.0, 11.0)).nodes,
-        ],
-        ids=["asymmetric", "odd-size", "one-ulp", "shifted-domain"],
-    )
-    def test_even_refuses_nodes_that_are_not_mirror_pairs(self, nodes):
-        calls = []
-        with pytest.raises(ValueError, match="not mirror-symmetric"):
-            even(lambda x: calls.append(None) or x * x)(nodes)
-        assert calls == []
+        for x in calls:
+            assert np.array_equal(bits(wavefunction_stack(order, x)), bits(sign * wavefunction_stack(order, -x)))
 
 
 class TestVectorIntegrate:
     def test_rows_converge_at_their_own_levels(self):
         rows = [gaussian_wave(0.5, freq) for freq in (0.0, 40.0, 80.0, 200.0)]
-        assert [levels_used(f) for f in rows] == [2, 3, 4, 6]
+        assert [levels_used(f) for f in rows] == [1, 2, 3, 4]
         batch = integrate(lambda x: np.stack([f(x) for f in rows]))
         assert batch.shape == (4,)
         assert [v.hex() for v in batch.tolist()] == [integrate(f).hex() for f in rows]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from _states import coherent_vector, fock_vector, product_density
 from noonsteer import inferred, quadrature, steering
 from noonsteer.errors import (
+    ConvergenceFailure,
     DegenerateChannel,
     NondiscriminatingPhase,
     NoonSteerError,
@@ -152,9 +154,8 @@ class TestThreshold:
 
     @pytest.mark.parametrize("n_quanta", [12, 16])
     def test_orders_refining_past_the_batch_budget_solve(self, n_quanta):
-        # near eta = 1 the variance integral of these orders refines to 12288
-        # panels, more than a batch of 7 rows may pass, so the scan falls back
-        # to one row at a time instead of failing
+        # near eta = 1 the variance integral of these orders refines the most,
+        # and the solve still brackets E = 1 within its width
         eta = threshold_efficiency(n_quanta, math.pi / 2, "p")
 
         def e_at(eta):
@@ -162,19 +163,20 @@ class TestThreshold:
 
         assert e_at(eta - THRESHOLD_WIDTH) >= 1.0 > e_at(min(eta + THRESHOLD_WIDTH, 1.0))
 
-    def test_batch_over_budget_falls_back_to_one_row_at_a_time(self, monkeypatch):
+    def test_failed_batch_falls_back_to_one_row_at_a_time(self, monkeypatch):
         default = threshold_efficiency(2, math.pi / 2, "p")
         sizes = []
         real = steering.inferred_variance_quadrature
 
-        def recorded(n_quanta, phi, channel, which):
+        def failing_once(n_quanta, phi, channel, which):
             sizes.append(1 if isinstance(channel, LossChannel) else len(channel))
+            if len(sizes) == 1:
+                raise ConvergenceFailure("the first batch fails")
             return real(n_quanta, phi, channel, which)
 
-        monkeypatch.setattr(steering, "inferred_variance_quadrature", recorded)
-        monkeypatch.setattr(quadrature, "BATCH_VALUE_BUDGET", 4000)
+        monkeypatch.setattr(steering, "inferred_variance_quadrature", failing_once)
         assert threshold_efficiency(2, math.pi / 2, "p") == default
-        # the 7-row scan passes 4000 values at its first refinement
+        # the 7-row scan fails, and its rows are evaluated one at a time
         assert sizes[:8] == [7] + [1] * 7
 
     def test_invalid_efficiency_is_refused_at_any_phase(self):
@@ -533,13 +535,15 @@ class TestBatchedSweep:
             return perturbed, ladder_b
 
         monkeypatch.setattr(inferred, "_moment_numerators", stalling)
-        monkeypatch.setattr(quadrature, "MAX_REFINEMENTS", 3)
         rows = sweep([1], 0.0, "p", symmetric=grid)
         # one call per chunk, then the failed chunk again one row at a time
         assert calls == [32, 9] + [1] * 9
         flagged = [(r.eta_a, *r.error.split(": ", 1)) for r in rows if r.error]
         assert [(eta, name) for eta, name, _ in flagged] == [(stalled.eta_a, "ConvergenceFailure")]
-        assert flagged[0][2].startswith("refinement stalled at panels=384")
+        with pytest.raises(ConvergenceFailure) as single:
+            steering_functional(1, 0.0, stalled, "p")
+        assert flagged[0][2] == str(single.value)
+        assert re.match(rf"refinement stalled at \d+ panels \(cap {quadrature.MAX_PANELS}\) with", str(single.value))
         assert all(row_outcome(r) == want[r.eta_a] for r in rows if r.error is None)
 
 
