@@ -8,8 +8,8 @@ Conventions used throughout the package:
 * a rotated quadrature X_theta = cos(theta) X + sin(theta) P has the same
   eigenfunctions with <theta; q|n> = e^{-i n theta} <q|n>, so every
   quadrature is read in the X frame (P is theta = pi/2);
-* ``quadrature_power`` is the one builder of (X_theta)^N, and
-  ``wavefunction_stack`` the one evaluation of <x|n>.
+* ``quadrature_power`` is the one builder of (X_theta)^N, exact on every
+  entry, and ``wavefunction_stack`` the one evaluation of <x|n>.
 """
 
 from __future__ import annotations
@@ -113,7 +113,8 @@ def operator_matrix(kind: str, dim: int) -> ModeOperator:
     """Truncated matrix for one of number/x/p.
 
     Truncation leaves every stored entry exact; only products of these
-    matrices acquire artifacts near the cutoff.
+    matrices acquire artifacts near the cutoff. Take powers of a quadrature
+    from ``quadrature_power``, which is exact on every entry.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -130,8 +131,14 @@ def operator_matrix(kind: str, dim: int) -> ModeOperator:
 
 
 def quadrature_power(dim: int, theta: float, order: int) -> np.ndarray:
-    """(X_theta)^order on the Fock basis: X^order with entry (j, k) phased by
-    e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a} X e^{-i theta a^dag a}."""
+    """(X_theta)^order on levels 0..dim-1, exact in every entry: X^order with
+    entry (j, k) phased by e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a}
+    X e^{-i theta a^dag a}. X is built at a cutoff of dim + order and cropped:
+    a path of ``order`` ladder steps between levels below dim never leaves it."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    ladder = np.sqrt(np.arange(1, dim + order, dtype=float))
+    x = np.diag(ladder, k=1) + np.diag(ladder, k=-1)
     levels = np.arange(dim)
     phase = np.exp(1j * theta * np.subtract.outer(levels, levels))
-    return np.linalg.matrix_power(operator_matrix("x", dim).matrix, order) * phase
+    return np.linalg.matrix_power(x, order)[:dim, :dim] * phase

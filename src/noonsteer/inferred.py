@@ -9,7 +9,8 @@ Two independent routes live here:
   S_N^2 / (4 P) in the inferred variance (``inferred_variance_quadrature``);
 * the matrix route (``density_*`` functions): the same quantities from an
   explicit two-mode density matrix, conditioned numerically and traced
-  against truncated operator matrices.
+  against the exact operator powers of ``quadrature_power``, so any cutoff
+  that holds the state will do.
 
 The conditioning observables are fixed: number on a infers number on b, and
 the X quadrature on a infers every quadrature-power quantity on b.
@@ -48,13 +49,10 @@ def _norm_which(which: str) -> str:
 
 @lru_cache(maxsize=None)
 def moment_integral(order: int, j: int, k: int) -> float:
-    """R_n(j, k) = int q^n <q|j><q|k> dq, the (j, k) entry of X^n.
-
-    Exact: a cutoff above max(j, k) + n holds every path of n ladder steps
-    between |j> and |k>, and X has no negative entries to cancel. Exactly
-    zero when order + j + k is odd.
-    """
-    return float(quadrature_power(max(j, k) + order + 2, 0.0, order)[j, k].real)
+    """R_n(j, k) = int q^n <q|j><q|k> dq, the (j, k) entry of X^n from
+    ``quadrature_power``. X has no negative entries to cancel, and the entry
+    is exactly zero when order + j + k is odd."""
+    return float(quadrature_power(max(j, k) + 1, 0.0, order)[j, k].real)
 
 
 @lru_cache(maxsize=None)

@@ -84,12 +84,13 @@ def binomial_ladder(n_quanta: int, eta) -> np.ndarray:
 def lossy_noon_density(
     n_quanta: int, phi: float, channel: LossChannel, dim: int | None = None
 ) -> TwoModeDensity:
-    """Two-mode density after independent beam-splitter loss on a NOON state;
-    at ``LOSSLESS`` (one-hot ladders, damping 1) the NOON projector itself."""
+    """Two-mode density after independent beam-splitter loss on a NOON state,
+    on ``dim`` levels per mode (by default the state's own N + 1); at
+    ``LOSSLESS`` (one-hot ladders, damping 1) the NOON projector itself."""
     if n_quanta < 1:
         raise ValueError("NOON order must be >= 1")
     if dim is None:
-        dim = n_quanta + 12
+        dim = n_quanta + 1
     if dim <= n_quanta:
         raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
 
@@ -141,28 +142,16 @@ def conditioning_outcomes(x) -> np.ndarray:
     return x_arr
 
 
-def conditional_density_given_x(
-    n_quanta: int,
-    phi: float,
-    channel: LossChannel,
-    x: float,
-    dim: int | None = None,
-) -> np.ndarray:
+def conditional_density_given_x(n_quanta: int, phi: float, channel: LossChannel, x: float) -> np.ndarray:
     """Mode-b density matrix conditioned on measuring X = x on mode a
-    (normalized), shape (dim, dim)."""
+    (normalized), on the state's levels 0..N: shape (N + 1, N + 1)."""
     check_finite_phase(phi)
-    if dim is None:
-        dim = n_quanta + 12
-    if dim <= n_quanta:
-        raise DimTooSmall(f"dim={dim} cannot hold |{n_quanta}>")
     profiles = _branch_profiles(n_quanta, binomial_ladder(n_quanta, [channel.eta_a]), conditioning_outcomes(x))
     branch_a, psi0_sq, psi0_psin, px = (v.item() for v in profiles)  # one outcome, or ValueError
     if px < CONDITIONING_FLOOR:
         raise ZeroProbabilityConditioning(f"P(x={x}) = {px} below {CONDITIONING_FLOOR}")
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.diag(binomial_ladder(n_quanta, channel.eta_b) * psi0_sq).astype(complex)
     mat[0, 0] += branch_a
-    diag = np.arange(n_quanta + 1)
-    mat[diag, diag] += binomial_ladder(n_quanta, channel.eta_b) * psi0_sq
     coherence = channel.coherence_damping(n_quanta) * psi0_psin
     mat[0, n_quanta] += coherence * np.exp(-1j * phi)
     mat[n_quanta, 0] += coherence * np.exp(1j * phi)

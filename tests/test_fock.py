@@ -171,6 +171,19 @@ class TestOperators:
         with pytest.raises(ValueError):
             operator_matrix("x_theta", 5)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=17),
+        order=st.integers(min_value=0, max_value=32),
+        extra=st.integers(min_value=1, max_value=8),
+        theta=st.floats(allow_nan=False, allow_infinity=False),
+    )
+    def test_power_is_the_crop_of_a_larger_cutoff(self, dim, order, extra, theta):
+        # every entry is exact, so more levels change no bit of the first dim
+        small = quadrature_power(dim, theta, order)
+        large = quadrature_power(dim + extra, theta, order)[:dim, :dim]
+        assert np.array_equal(small.view(np.uint64), large.view(np.uint64))
+
 
 def commutator_reduction_deviation(n_power, dim):
     """Max deviation of [n, P^N] from i N (P^{N-1} X + (N-1) i P^{N-2}) on the

@@ -350,23 +350,31 @@ class TestMatrixRoute:
     @pytest.mark.parametrize("which", ["p", "x"])
     @pytest.mark.parametrize("n_quanta", range(6, 11))
     def test_lossy_modulus_matches_matrix_commutator(self, n_quanta, which):
-        # i[n, X_theta^N] at a cutoff of N + 2 is exact on the state's support
-        channel, phi, dim = LossChannel(0.9, 0.8), 0.3, n_quanta + 2
-        rho = lossy_noon_density(n_quanta, phi, channel, dim=dim)
-        power = quadrature_power(dim, OBSERVABLE_THETA[which.upper()], n_quanta)
-        number = np.diag(np.arange(dim))
+        channel, phi = LossChannel(0.9, 0.8), 0.3
+        rho = lossy_noon_density(n_quanta, phi, channel)
+        power = quadrature_power(rho.dim, OBSERVABLE_THETA[which.upper()], n_quanta)
+        number = np.diag(np.arange(rho.dim))
         matrix = density_abs_conditional_mean(rho, 1j * (number @ power - power @ number))
         analytic = inferred_commutator_modulus(n_quanta, phi, channel, which)
         assert matrix == pytest.approx(analytic, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["p", "x"])
-    @pytest.mark.parametrize("n_quanta", [6, 7])
+    @pytest.mark.parametrize("n_quanta", range(1, 17))
     def test_lossy_variance_matches_matrix_route_past_five(self, n_quanta, which):
-        # a cutoff of 2N + 2 holds every ladder path of X^2N on the state's support
         channel, phi = LossChannel(0.9, 0.8), 0.3
-        rho = lossy_noon_density(n_quanta, phi, channel, dim=2 * n_quanta + 2)
+        rho = lossy_noon_density(n_quanta, phi, channel)
+        assert rho.dim == n_quanta + 1
         matrix = density_quadrature_variance(rho, OBSERVABLE_THETA[which.upper()], n_quanta)
         analytic = inferred_variance_quadrature(n_quanta, phi, channel, which)
+        assert matrix == pytest.approx(analytic, rel=1e-12)
+
+    @pytest.mark.parametrize("which", ["p", "x"])
+    @pytest.mark.parametrize("n_quanta", [8, 16])
+    def test_lossless_variance_matches_matrix_route(self, n_quanta, which):
+        # at eta = (1, 1) the ratio term has its poles closest to the real axis
+        rho = lossy_noon_density(n_quanta, math.pi / 2, LOSSLESS)
+        matrix = density_quadrature_variance(rho, OBSERVABLE_THETA[which.upper()], n_quanta)
+        analytic = inferred_variance_quadrature(n_quanta, math.pi / 2, LOSSLESS, which)
         assert matrix == pytest.approx(analytic, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -374,16 +382,52 @@ class TestMatrixRoute:
     )
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_phased_power_is_rotated_quadrature_power(self, theta, order):
-        # e^{i theta n} is diagonal, so the identity holds on the whole
-        # truncated matrix, cutoff artifacts included
+        # the reference is cropped from a cutoff twice as large, where no
+        # ladder path of length <= 3 from a level below 9 meets the edge
         dim = 9
-        x, p = operator_matrix("x", dim).matrix, operator_matrix("p", dim).matrix
-        direct = np.linalg.matrix_power(math.cos(theta) * x + math.sin(theta) * p, order)
+        x, p = operator_matrix("x", 2 * dim).matrix, operator_matrix("p", 2 * dim).matrix
+        direct = np.linalg.matrix_power(math.cos(theta) * x + math.sin(theta) * p, order)[:dim, :dim]
         np.testing.assert_allclose(quadrature_power(dim, theta, order), direct, rtol=0, atol=1e-13)
 
     def test_zero_probability_guard(self):
         with pytest.raises(ZeroProbabilityConditioning):
             conditional_quadrature_moment(1, 0.0, LOSSLESS, 1, 60.0, "p")
+
+
+#: var_quadN for criterion p at phi = 0.3, keyed by (N, eta_a, eta_b). Each is
+#: a 40-digit mpmath.quad of (1/2) second - int G(x) s(x)^2 / (4 q(x)) dx, with
+#: G = e^{-x^2/2} / sqrt(2 pi), b(x) = sum_m ladder_a[m] He_m(x)^2 / m!,
+#: q = (b + 1) / 2, s = R_N(0, 0) b + sum_k ladder_b[k] R_N(k, k)
+#: + 2 damping R_N(0, N) cos(N pi/2 - phi) He_N / sqrt(N!), and
+#: second = R_2N(0, 0) + sum_k ladder_b[k] R_2N(k, k). The R_n(j, k) = <j|X^n|k>
+#: come from applying X = a + a^dag n times in mpmath, and the integral is split
+#: at the real roots of He_N, near which s^2 / q has its poles at eta = (1, 1).
+RECORDED_VARIANCES = {
+    (6, 1.0, 1.0): "0x1.02d1ef56bb2a4p+25",
+    (6, 0.95, 0.93): "0x1.9fa42b8b793a2p+24",
+    (6, 1.0, 0.2): "0x1.91c41dee41d06p+18",
+    (8, 1.0, 1.0): "0x1.85f1fab84ecb6p+37",
+    (8, 0.95, 0.93): "0x1.1efdf1d9f4fc9p+37",
+    (8, 1.0, 0.2): "0x1.e36e77831bfc6p+28",
+    (12, 1.0, 1.0): "0x1.d22b6051946bep+64",
+    (12, 0.95, 0.93): "0x1.2081795c447a5p+64",
+    (12, 1.0, 0.2): "0x1.7b56e84bbdd16p+51",
+    (16, 1.0, 1.0): "0x1.1529012734005p+94",
+    (16, 0.95, 0.93): "0x1.20a649815cfddp+93",
+    (16, 1.0, 0.2): "0x1.2ddca83d29a08p+76",
+}
+
+
+@pytest.mark.parametrize("n_quanta,eta_a,eta_b", sorted(RECORDED_VARIANCES))
+def test_variance_matches_recorded_reference(n_quanta, eta_a, eta_b):
+    # both routes share integrate and wavefunction_stack; this pins them to
+    # values computed without either
+    want = float.fromhex(RECORDED_VARIANCES[n_quanta, eta_a, eta_b])
+    channel = LossChannel(eta_a, eta_b)
+    analytic = inferred_variance_quadrature(n_quanta, 0.3, channel, "p")
+    matrix = density_quadrature_variance(lossy_noon_density(n_quanta, 0.3, channel), math.pi / 2, n_quanta)
+    assert analytic == pytest.approx(want, rel=1e-11)
+    assert matrix == pytest.approx(want, rel=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -407,3 +451,26 @@ def test_non_finite_outcome_refused(oracle, bad, as_array):
     x = np.array([0.5, bad]) if as_array else bad
     with pytest.raises(ValueError, match="conditioning outcome must be finite"):
         oracle(x)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: quadrature_power(4, 0.0, -1),
+        lambda: quadrature_power(3, 0.0, -1),
+        lambda: moment_integral(-1, 0, 1),
+        lambda: density_quadrature_variance(lossy_noon_density(1, 0.0, LOSSLESS), 0.0, -1),
+        lambda: density_conditional_moment(lossy_noon_density(1, 0.0, LOSSLESS), 0.0, -1, 0.5),
+    ],
+    ids=[
+        "quadrature_power",
+        "quadrature_power_odd_cutoff",
+        "moment_integral",
+        "density_quadrature_variance",
+        "density_conditional_moment",
+    ],
+)
+def test_negative_order_refused(evaluate):
+    # a negative matrix power would invert the truncated X
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        evaluate()

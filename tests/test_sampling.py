@@ -136,7 +136,7 @@ def oracle_raw_density(n_quanta, phi, channel, theta, x, q):
     raw = np.empty(q.size)
     for x_value in np.unique(x):
         at = x == x_value
-        rho = conditional_density_given_x(n_quanta, phi, channel, x_value, dim=n_quanta + 1)
+        rho = conditional_density_given_x(n_quanta, phi, channel, x_value)
         two_px = 2.0 * px_density(n_quanta, channel, x_value)
         raw[at] = two_px * np.einsum("jq,jk,kq->q", psi[:, at], rho * phase, psi[:, at]).real
     return raw

@@ -567,10 +567,11 @@ class TestProtocolCombination:
     @pytest.mark.parametrize("which", ["p", "x"])
     @pytest.mark.parametrize("n_quanta", [1, 2, 3])
     def test_matches_explicit_quadrature_form(self, n_quanta, which):
-        dim = n_quanta + 12
+        # the explicit products are exact only away from their cutoff
+        dim = n_quanta + 1
         np.testing.assert_allclose(
             protocol_combination(n_quanta, which, dim),
-            explicit_combination(n_quanta, which, dim),
+            explicit_combination(n_quanta, which, 2 * dim)[:dim, :dim],
             rtol=0,
             atol=1e-12,
         )
@@ -624,7 +625,7 @@ class TestProtocolRhs:
     @pytest.mark.parametrize("n_quanta,which", sorted(HOMODYNE_COMBINATIONS))
     def test_combination_diagonal_vanishes(self, n_quanta, which):
         # the precondition of the closed form: only the psi_0 psi_N term is left
-        diagonal = protocol_combination(n_quanta, which, n_quanta + 12).diagonal()[: n_quanta + 1]
+        diagonal = protocol_combination(n_quanta, which, n_quanta + 1).diagonal()
         assert np.max(np.abs(diagonal)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -638,7 +639,7 @@ class TestProtocolRhs:
     def test_matches_full_numerator_quadrature(self, n_quanta, which, phi, eta_a, eta_b):
         # 2 P(x) <M_b>_x with every term of the combination M, diagonal included
         assume(commutator_phase_factor(n_quanta, phi, which) > 0.05)
-        combo = protocol_combination(n_quanta, which, n_quanta + 12)
+        combo = protocol_combination(n_quanta, which, n_quanta + 1)
         ladder_a = binomial_ladder(n_quanta, eta_a)[None, :]
         ladder_b = binomial_ladder(n_quanta, eta_b)
         diag_b = sum(ladder_b[k] * combo[k, k].real for k in range(n_quanta + 1))
