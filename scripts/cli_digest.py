@@ -127,8 +127,10 @@ def invocations() -> list[list[str]]:
         ["sweep", "--step", "1e-300"],
         ["sweep", "--n", "0"],
         ["sweep", "--preset", "fig3"],
+        ["sweep", "--n", "2", "--phi", "pi/2", "--eta-a", "0.9"],
         ["threshold", "--fix-eta-a", "0.9", "--fix-eta-b", "0.9"],
         ["threshold", "--n", "0"],
+        ["threshold", "--n", "2", "--phi", "pi/2", "--eta-b", "0.9"],
         ["sample", "--shots", "0"],
         ["sample", "--phi", "nan"],
         ["bogus"],

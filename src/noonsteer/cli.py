@@ -150,7 +150,7 @@ def cmd_eval(args, phi: float) -> int:
 
 def _grid_values(start: float, stop: float, step: float, axes: int = 1) -> list[float]:
     """The axis start, start + step, ..., stop of a grid with ``axes`` such axes,
-    checked against MAX_GRID_ROWS before it is built."""
+    checked against MAX_GRID_ROWS before it is built; at least 2 points."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
         if not math.isfinite(value):
             raise ValueError(f"grid {name} must be finite, got {value}")
@@ -159,20 +159,28 @@ def _grid_values(start: float, stop: float, step: float, axes: int = 1) -> list[
     steps = (stop - start) / step
     if not (math.isfinite(steps) and max(round(steps) + 1, 0) ** axes <= MAX_GRID_ROWS):
         raise ValueError(f"grid step={step} from {start} to {stop} makes over {MAX_GRID_ROWS} rows")
+    if round(steps) < 1:
+        raise ValueError("grid needs at least 2 points per axis")
     return [round(start + i * step, 12) for i in range(round(steps) + 1)]
+
+
+def _grid_channels(start: float, stop: float, step: float, grid_2d: bool) -> list[LossChannel]:
+    """The channels of a symmetric axis (eta_a = eta_b), or of the product grid
+    of that axis with itself."""
+    axis = _grid_values(start, stop, step, axes=2 if grid_2d else 1)
+    if grid_2d:
+        return [LossChannel(eta_a, eta_b) for eta_a in axis for eta_b in axis]
+    return [LossChannel(eta, eta) for eta in axis]
 
 
 def cmd_sweep(args, phi: float) -> int:
     if args.preset == "fig1":
-        rows = sweep(range(1, 6), caption_phase, "p", symmetric=_grid_values(0.80, 1.00, 0.005))
+        rows = sweep(range(1, 6), caption_phase, _grid_channels(0.80, 1.00, 0.005, False), "p")
     elif args.preset == "fig2":
-        grid = _grid_values(0.80, 1.00, 0.005)
-        rows = sweep([2], math.pi / 2.0, "p", eta_a_values=grid, eta_b_values=grid)
-    elif args.grid_2d:
-        grid = _grid_values(args.start, args.stop, args.step, axes=2)
-        rows = sweep([args.n], phi, args.criterion, eta_a_values=grid, eta_b_values=grid)
+        rows = sweep([2], math.pi / 2.0, _grid_channels(0.80, 1.00, 0.005, True), "p")
     else:
-        rows = sweep([args.n], phi, args.criterion, symmetric=_grid_values(args.start, args.stop, args.step))
+        channels = _grid_channels(args.start, args.stop, args.step, args.grid_2d)
+        rows = sweep([args.n], phi, channels, args.criterion)
     _emit(render_rows([_row(r, r.eta_a, r.eta_b, error=r.error) for r in rows], args.fmt), args.output)
     return 0
 
@@ -183,7 +191,9 @@ def cmd_threshold(args, phi: float) -> int:
         mode, fixed = "fix_eta_a", args.fix_eta_a
     elif args.fix_eta_b is not None:
         mode, fixed = "fix_eta_b", args.fix_eta_b
-    eta_star = threshold_efficiency(args.n, phi, args.criterion, mode=mode, fixed_value=fixed)
+    eta_star = threshold_efficiency(
+        args.n, phi, args.criterion, fix_eta_a=args.fix_eta_a, fix_eta_b=args.fix_eta_b
+    )
     payload = {
         "N": args.n,
         "phi": phi,
@@ -236,19 +246,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noonsteer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary):
+    def command(name, handler, summary, channel=False):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--n", type=int, default=1, help="number of quanta N")
         p.add_argument("--phi", default="0", help="phase: decimal or e.g. pi/2")
-        p.add_argument("--eta-a", type=float, default=1.0)
-        p.add_argument("--eta-b", type=float, default=1.0)
+        if channel:
+            p.add_argument("--eta-a", type=float, default=1.0)
+            p.add_argument("--eta-b", type=float, default=1.0)
         p.add_argument("--criterion", choices=["x", "p"], default="p")
         p.add_argument("--format", dest="fmt", choices=["csv", "json"], default="json")
         p.add_argument("--output", "-o", default=None, help="file instead of stdout")
         return p
 
-    command("eval", cmd_eval, "one steering evaluation")
+    command("eval", cmd_eval, "one steering evaluation", channel=True)
 
     p_sweep = command("sweep", cmd_sweep, "efficiency-grid sweep")
     p_sweep.set_defaults(fmt="csv")
@@ -264,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--fix-eta-a", type=float, default=None)
     group.add_argument("--fix-eta-b", type=float, default=None)
 
-    p_sample = command("sample", cmd_sample, "shot-level Monte Carlo estimate")
+    p_sample = command("sample", cmd_sample, "shot-level Monte Carlo estimate", channel=True)
     p_sample.add_argument("--shots", type=int, default=1_000_000)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument(

@@ -131,15 +131,14 @@ def conditional_quadrature_moment(
 def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str = "p"):
     """Average conditional variance of Q_b^N given the a-mode X outcome,
     int (S_2N / 2 - S_N^2 / (4 P)) dx in the terms of ``_moment_numerators``.
-    The S_2N term enters as its exact integral M_00 + sum_k ladder_b[k] M_kk
-    (int branch_a = int psi_0^2 = 1, int psi_0 psi_N = 0) times P(x), which
-    integrates to 1: only the ratio term, finite where P(x) underflows, needs
-    refining, and convergence is judged on the variance itself. ``channel`` is
-    one LossChannel, giving a float, or a sequence of them, giving an array:
-    their integrands share one batched ``integrate`` call, and each entry
-    equals the one-channel value bit for bit.
+    The S_2N term is exact: int S_2N / 2 dx = (M_00 + sum_k ladder_b[k] M_kk) / 2
+    (int branch_a = int psi_0^2 = 1, int psi_0 psi_N = 0). Only the ratio term,
+    finite where P(x) underflows, is integrated, and convergence is judged on
+    it alone. ``channel`` is one LossChannel, giving a float, or a sequence of
+    them, giving an array: their integrands share one batched ``integrate``
+    call, and each entry equals the one-channel value bit for bit.
 
-    The integrand is even in x, so ``integrate`` takes it over [0, 12] and the
+    The ratio is even in x, so ``integrate`` takes it over [0, 12] and the
     value is doubled. Each <x|n> has parity (-1)^n, so branch_a, psi_0^2 and P
     are even, and so is psi_0 psi_N for even N. For odd N the table gives exact
     zeros for R_N(0, 0) and R_N(k, k), so S_N reduces to cross psi_0 psi_N,
@@ -148,12 +147,11 @@ def inferred_variance_quadrature(n_quanta: int, phi: float, channel, which: str 
     numerators, ladder_b = _moment_numerators(n_quanta, phi, channels, which, n_quanta)
     second = moment_integral(2 * n_quanta, 0, 0) + _diagonal_integral(n_quanta, 2 * n_quanta, ladder_b)
 
-    def integrand(x):
+    def ratio(x):
         s_n, px = numerators(x)
-        ratio = np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
-        return 0.5 * second[:, None] * px - ratio
+        return np.divide(s_n**2, 4.0 * px, out=np.zeros_like(px), where=px > CONDITIONING_FLOOR)
 
-    values = 2.0 * integrate(integrand, (0.0, DEFAULT_HALF_WIDTH))
+    values = 0.5 * second - 2.0 * integrate(ratio, (0.0, DEFAULT_HALF_WIDTH))
     return float(values[0]) if isinstance(channel, LossChannel) else values
 
 

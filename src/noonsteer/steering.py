@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -42,6 +42,11 @@ PHASE_TOLERANCE = 1e-9
 #: Configurations per batched variance integral in ``_reports`` (eval, threshold,
 #: sweep). Bounds the (configurations x nodes) working arrays of one evaluation.
 SWEEP_CHUNK = 32
+
+#: Efficiency range that ``threshold_efficiency`` scans for E = 1, and the
+#: width to which it narrows the crossing.
+THRESHOLD_BRACKET = (0.5, 1.0)
+THRESHOLD_WIDTH = 1e-6
 
 
 def caption_phase(n_quanta: int) -> float:
@@ -84,12 +89,11 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Two-hill number statistics against the steering product."""
+    """Two-hill number statistics against the steering product. The n_a > 0
+    hill has no spread: any detected quantum on a pins n_b = 0."""
 
     p_hill_nonzero: float
     p_hill_zero: float
-    hill1_mean: float
-    hill1_var: float
     hill2_mean: float
     hill2_var: float
     lhs: float
@@ -132,11 +136,12 @@ def _attempt(evaluate, *args):
 
 
 def _reports(n_quanta: int, phi: float, channels: list[LossChannel], which: str) -> list:
-    """The SteeringReport or NoonSteerError of each channel, for eval, threshold
-    and sweep alike. The phase and then each ``_modulus`` are checked before any
-    quadrature; the usable channels share one batched variance integral per
-    SWEEP_CHUNK, and a chunk that fails is re-run one channel at a time, so a
-    report equals the one-channel report bit for bit. ValueErrors propagate."""
+    """The SteeringReport or NoonSteerError of each channel, for eval,
+    threshold, sweep and coherence_inequality alike. The phase and then each
+    ``_modulus`` are checked before any quadrature; the usable channels share
+    one batched variance integral per SWEEP_CHUNK, and a chunk that fails is
+    re-run one channel at a time, so a report equals the one-channel report bit
+    for bit. ValueErrors propagate."""
     try:
         check_phase(n_quanta, phi, which)
     except NondiscriminatingPhase as exc:
@@ -197,44 +202,34 @@ def e1p_closed_form(channel: LossChannel) -> float:
     return 2.0 * math.sqrt(inner) / (math.sqrt(2.0 / math.pi) * math.sqrt(eta_a * eta_b))
 
 
-def _channel_for(mode: str, fixed_value: float | None, eta: float) -> LossChannel:
-    if mode == "symmetric":
-        return LossChannel(eta, eta)
-    if mode == "fix_eta_a":
-        return LossChannel(fixed_value, eta)
-    if mode == "fix_eta_b":
-        return LossChannel(eta, fixed_value)
-    raise ValueError(f"unknown threshold mode {mode!r}")
-
-
 def threshold_efficiency(
     n_quanta: int,
     phi: float,
     which: str = "p",
-    mode: str = "symmetric",
-    fixed_value: float | None = None,
-    bracket: tuple[float, float] = (0.5, 1.0),
-    width: float = 1e-6,
+    *,
+    fix_eta_a: float | None = None,
+    fix_eta_b: float | None = None,
 ) -> float:
-    """Solve for the efficiency at which E crosses 1, to within ``width`` / 2.
+    """Solve for the efficiency at which E crosses 1, to within THRESHOLD_WIDTH / 2.
 
-    Requires E < 1 at the high end of the bracket and E >= 1 at the low end,
-    and asserts empirically that E is monotone on 7 bracket points (one batched
-    scan). Rounds of one batched call then narrow the scan step straddling E = 1
-    to ``width``: they probe g -/+ d, g inverse-interpolating E = 1 and d a fifth
-    of g's last change (>= 0.4 ``width``), or the thirds when g is outside or the
-    last round did not halve: at most 2 ceil(log3(scan step / width)) + 1 rounds.
+    It solves for eta_a = eta_b, or for the efficiency not fixed (fix one at
+    most). Requires E < 1 at the high end of THRESHOLD_BRACKET and E >= 1 at the
+    low end, and asserts empirically that E is monotone on 7 bracket points (one
+    batched scan). Rounds of one batched call then narrow the scan step
+    straddling E = 1 to the width w: they probe g -/+ d, g inverse-interpolating
+    E = 1 and d a fifth of g's last change (>= 0.4 w), or the thirds when g is
+    outside or the last round did not halve: at most 2 ceil(log3(step / w)) + 1.
     """
-    if mode != "symmetric" and fixed_value is None:
-        raise ValueError(f"mode {mode!r} needs a fixed efficiency value")
-    if not (math.isfinite(width) and width >= 0.0):
-        raise ValueError(f"threshold width must be finite and >= 0, got {width}")
-    lo, hi = bracket
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 <= lo < hi <= 1.0):
-        raise ValueError(f"threshold bracket needs 0 <= lo < hi <= 1, got {bracket}")
+    if fix_eta_a is not None and fix_eta_b is not None:
+        raise ValueError("fix at most one of eta_a and eta_b")
+    width = THRESHOLD_WIDTH
+    lo, hi = THRESHOLD_BRACKET
 
     def e_values(etas) -> list[float]:
-        channels = [_channel_for(mode, fixed_value, eta) for eta in etas]
+        channels = [
+            LossChannel(eta if fix_eta_a is None else fix_eta_a, eta if fix_eta_b is None else fix_eta_b)
+            for eta in etas
+        ]
         return [report.E for report in _raise_first(_reports(n_quanta, phi, channels, which))]
 
     etas = np.linspace(lo, hi, 7).tolist()
@@ -280,34 +275,18 @@ def _inverse_estimate(points) -> float:
 def sweep(
     orders: Iterable[int],
     phi_rule: Callable[[int], float] | float,
+    channels: Iterable[LossChannel],
     which: str = "p",
-    *,
-    symmetric: Sequence[float] | None = None,
-    eta_a_values: Sequence[float] | None = None,
-    eta_b_values: Sequence[float] | None = None,
 ) -> list[SweepRow]:
-    """Evaluate E over an efficiency grid, one row per point.
+    """Evaluate E at each order and channel, one row per pair.
 
-    Either ``symmetric`` (eta_a = eta_b along one axis) or the full
-    ``eta_a_values`` x ``eta_b_values`` product grid. Failing points are
-    flagged in their row instead of aborting the sweep. Rows are sorted by
-    (N, eta_a, eta_b) regardless of evaluation order. Each N is evaluated in
-    batches (see ``_reports``); a row equals ``steering_functional`` at its
-    point bit for bit, and its ``which`` is the lower-case criterion.
+    Failing points are flagged in their row instead of aborting the sweep.
+    Rows are sorted by (N, eta_a, eta_b) regardless of evaluation order. Each
+    N is evaluated in batches (see ``_reports``); a row equals
+    ``steering_functional`` at its point bit for bit, and its ``which`` is the
+    lower-case criterion.
     """
-    if symmetric is not None:
-        if eta_a_values is not None or eta_b_values is not None:
-            raise ValueError("give either a symmetric axis or a product grid, not both")
-        if len(symmetric) < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        channels = [LossChannel(eta, eta) for eta in symmetric]
-    else:
-        if eta_a_values is None or eta_b_values is None:
-            raise ValueError("product grid needs both eta_a and eta_b values")
-        if len(eta_a_values) < 2 or len(eta_b_values) < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        channels = [LossChannel(ea, eb) for ea in eta_a_values for eb in eta_b_values]
-
+    channels = list(channels)
     criterion = _norm_which(which)
     rows = []
     for n_quanta in orders:
@@ -357,34 +336,20 @@ def coherence_inequality(
 ) -> CoherenceReport:
     """Split mode-b number statistics into the two hills selected by the
     n_a = 0 vs n_a > 0 outcome and test the product inequality against the
-    squared half-modulus."""
+    squared half-modulus. The quadrature variance and the modulus are those of
+    ``steering_functional``, which raises its errors here too."""
+    report = steering_functional(n_quanta, phi, channel, which)
     marginal = number_marginal_a(n_quanta, channel)
     p_zero = float(marginal[0])
-    p_nonzero = float(marginal[1:].sum())
     values = np.arange(n_quanta + 1, dtype=float)
-
-    def hill_stats(dist: np.ndarray) -> tuple[float, float]:
-        mean = float(np.dot(dist, values))
-        return mean, float(np.dot(dist, (values - mean) ** 2))
-
-    if p_nonzero > 0.0:
-        pooled = np.zeros(n_quanta + 1)
-        for m in range(1, n_quanta + 1):
-            pooled += marginal[m] * conditional_number_b(n_quanta, channel, m)
-        hill1_mean, hill1_var = hill_stats(pooled / p_nonzero)
-    else:
-        hill1_mean, hill1_var = 0.0, 0.0
-    hill2_mean, hill2_var = hill_stats(conditional_number_b(n_quanta, channel, 0))
-
-    var_quad = inferred_variance_quadrature(n_quanta, phi, channel, which)
-    modulus = inferred_commutator_modulus(n_quanta, phi, channel, which)
-    lhs = (p_nonzero * hill1_var + p_zero * hill2_var) * var_quad
-    rhs = modulus**2 / 4.0
+    hill2 = conditional_number_b(n_quanta, channel, 0)
+    hill2_mean = float(np.dot(hill2, values))
+    hill2_var = float(np.dot(hill2, (values - hill2_mean) ** 2))
+    lhs = p_zero * hill2_var * report.var_quadrature_n
+    rhs = report.commutator_modulus**2 / 4.0
     return CoherenceReport(
-        p_hill_nonzero=p_nonzero,
+        p_hill_nonzero=float(marginal[1:].sum()),
         p_hill_zero=p_zero,
-        hill1_mean=hill1_mean,
-        hill1_var=hill1_var,
         hill2_mean=hill2_mean,
         hill2_var=hill2_var,
         lhs=lhs,

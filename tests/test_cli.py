@@ -88,13 +88,28 @@ class TestRejectedInputs:
             (["sweep", "--stop=nan"], "grid stop must be finite"),
             (["sweep", "--start", "0.8", "--stop", "1", "--step", "1e-300"], "step=1e-300"),
             (["sweep", "--grid-2d", "--start", "0", "--stop", "1", "--step", "1e-3"], "over 1000000 rows"),
+            (["sweep", "--start", "0.9", "--stop", "0.9"], "grid needs at least 2 points per axis"),
         ],
-        ids=["sweep-start-inf", "sweep-stop-nan", "sweep-step-1e-300", "sweep-2d-over-cap"],
+        ids=["sweep-start-inf", "sweep-stop-nan", "sweep-step-1e-300", "sweep-2d-over-cap", "sweep-one-point"],
     )
     def test_sweep_grid_refused_before_it_is_built(self, capsys, argv, message):
         started = time.perf_counter()
         self.test_exit_one_with_one_line(capsys, argv, message)
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "2", "--phi", "pi/2", "--eta-a", "0.9"],
+            ["threshold", "--n", "2", "--phi", "pi/2", "--eta-b", "0.9"],
+        ],
+        ids=["sweep-eta-a", "threshold-eta-b"],
+    )
+    def test_channel_flags_are_refused_where_they_do_nothing(self, capsys, argv):
+        # a sweep takes its channels from its grid, and a threshold solves for them
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_output_path_is_a_directory(self, capsys, tmp_path):
         self.test_exit_one_with_one_line(

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from _states import coherent_vector, fock_vector, product_density
-from noonsteer import inferred, quadrature, steering
+from noonsteer import cli, inferred, quadrature, steering
 from noonsteer.errors import (
     ConvergenceFailure,
     DegenerateChannel,
@@ -28,7 +28,15 @@ from noonsteer.inferred import (
     density_quadrature_variance,
     inferred_commutator_modulus,
 )
-from noonsteer.lossy import LOSSLESS, LossChannel, TwoModeDensity, _branch_profiles, binomial_ladder
+from noonsteer.lossy import (
+    LOSSLESS,
+    LossChannel,
+    TwoModeDensity,
+    _branch_profiles,
+    binomial_ladder,
+    conditional_number_b,
+    number_marginal_a,
+)
 from noonsteer.quadrature import integrate_abs
 from noonsteer.steering import (
     caption_phase,
@@ -106,20 +114,32 @@ class TestClosedForm:
                 assert abs(numeric - e1p_closed_form(channel)) < 1e-6
 
 
-#: threshold_efficiency's default width.
-THRESHOLD_WIDTH = 1e-6
+THRESHOLD_WIDTH = steering.THRESHOLD_WIDTH
 
 #: Fixed efficiencies (the benchmark's ranges) that keep a crossing inside
-#: the default bracket at the phases the tests use.
+#: THRESHOLD_BRACKET at the phases the tests use.
 FIXED_RANGE = {
     "fix_eta_a": {1: (0.9, 1.0), 2: (0.9, 1.0), 3: (0.9, 1.0), 4: (0.9, 1.0)},
     "fix_eta_b": {1: (0.9, 1.0), 2: (0.95, 1.0), 3: (0.995, 1.0), 4: (0.999, 1.0)},
 }
 
 
+def fixed_kwargs(mode, fixed):
+    """The ``threshold_efficiency`` keywords of a mode: "symmetric" fixes
+    nothing, "fix_eta_a" and "fix_eta_b" fix that efficiency at ``fixed``."""
+    return {} if mode == "symmetric" else {mode: fixed}
+
+
+def channel_for(mode, fixed, eta):
+    """The channel a ``threshold_efficiency`` solve in ``mode`` evaluates at ``eta``."""
+    if mode == "symmetric":
+        return LossChannel(eta, eta)
+    return LossChannel(fixed, eta) if mode == "fix_eta_a" else LossChannel(eta, fixed)
+
+
 @st.composite
 def crossing_configs(draw):
-    """(N, phi, criterion, mode, fixed value) with a crossing in the default bracket."""
+    """(N, phi, criterion, mode, fixed value) with a crossing in THRESHOLD_BRACKET."""
     n_quanta = draw(st.integers(1, 4))
     which = draw(st.sampled_from(["p", "x"]))
     mode = draw(st.sampled_from(["symmetric", "fix_eta_a", "fix_eta_b"]))
@@ -140,17 +160,18 @@ class TestThreshold:
     def test_eta_b_sensitivity_ordering(self):
         # the criterion is more sensitive to mode-b loss, so the tolerable
         # eta_b (with eta_a pinned at 1) sits above the tolerable eta_a
-        vary_b = threshold_efficiency(2, math.pi / 2, "p", mode="fix_eta_a", fixed_value=1.0)
-        vary_a = threshold_efficiency(2, math.pi / 2, "p", mode="fix_eta_b", fixed_value=1.0)
+        vary_b = threshold_efficiency(2, math.pi / 2, "p", fix_eta_a=1.0)
+        vary_a = threshold_efficiency(2, math.pi / 2, "p", fix_eta_b=1.0)
         assert vary_b > vary_a
 
     def test_no_threshold_in_bracket(self):
+        # eta_b = 0.7 leaves E >= 1 up to eta_a = 1 at N = 2
         with pytest.raises(NoThresholdInBracket):
-            threshold_efficiency(1, 0.0, "p", bracket=(0.95, 1.0))
+            threshold_efficiency(2, math.pi / 2, "p", fix_eta_b=0.7)
 
-    def test_mode_needs_fixed_value(self):
-        with pytest.raises(ValueError):
-            threshold_efficiency(1, 0.0, "p", mode="fix_eta_a")
+    def test_fixing_both_efficiencies_is_refused(self):
+        with pytest.raises(ValueError, match="fix at most one"):
+            threshold_efficiency(1, 0.0, "p", fix_eta_a=0.9, fix_eta_b=0.9)
 
     @pytest.mark.parametrize("n_quanta", [12, 16])
     def test_orders_refining_past_the_batch_budget_solve(self, n_quanta):
@@ -182,9 +203,9 @@ class TestThreshold:
     def test_invalid_efficiency_is_refused_at_any_phase(self):
         # a ValueError for the arguments comes before any per-point error
         with pytest.raises(ValueError, match="eta_a=1.5 outside"):
-            threshold_efficiency(2, 0.0, "p", mode="fix_eta_a", fixed_value=1.5)
+            threshold_efficiency(2, 0.0, "p", fix_eta_a=1.5)
         with pytest.raises(ValueError, match="eta_a=1.2 outside"):
-            sweep([2], 0.0, "p", symmetric=[0.9, 1.2])
+            sweep([2], 0.0, axis([0.9, 1.2]), "p")
 
     def test_zero_width_terminates(self, monkeypatch):
         default = threshold_efficiency(1, 0.0, "p")
@@ -198,15 +219,16 @@ class TestThreshold:
             return reports(*args, **kwargs)
 
         monkeypatch.setattr(steering, "_reports", counted)
-        assert threshold_efficiency(1, 0.0, "p", width=0.0) == pytest.approx(default, abs=1e-6)
+        monkeypatch.setattr(steering, "THRESHOLD_WIDTH", 0.0)
+        assert threshold_efficiency(1, 0.0, "p") == pytest.approx(default, abs=1e-6)
 
     @pytest.mark.parametrize("mode", ["symmetric", "fix_eta_a", "fix_eta_b"])
     @pytest.mark.parametrize("n_quanta", [1, 2, 3, 4])
     def test_batched_bracket_scan_matches_sequential_loop(self, n_quanta, mode):
         fixed = None if mode == "symmetric" else 0.99
         phi = caption_phase(n_quanta)
-        solved = threshold_outcome(threshold_efficiency, n_quanta, phi, mode, fixed)
-        bisected = threshold_outcome(sequential_threshold, n_quanta, phi, mode, fixed)
+        solved = threshold_outcome(lambda: threshold_efficiency(n_quanta, phi, "p", **fixed_kwargs(mode, fixed)))
+        bisected = threshold_outcome(lambda: sequential_threshold(n_quanta, phi, "p", mode, fixed))
         assert type(solved) is type(bisected)
         if isinstance(bisected, str):
             assert solved == bisected
@@ -217,10 +239,10 @@ class TestThreshold:
     @given(config=crossing_configs())
     def test_solve_brackets_the_crossing_within_width(self, config):
         n_quanta, phi, which, mode, fixed = config
-        eta = threshold_efficiency(n_quanta, phi, which, mode=mode, fixed_value=fixed)
+        eta = threshold_efficiency(n_quanta, phi, which, **fixed_kwargs(mode, fixed))
 
         def e_at(eta):
-            return steering_functional(n_quanta, phi, steering._channel_for(mode, fixed, eta), which).E
+            return steering_functional(n_quanta, phi, channel_for(mode, fixed, eta), which).E
 
         assert e_at(eta - THRESHOLD_WIDTH) >= 1.0 > e_at(min(eta + THRESHOLD_WIDTH, 1.0))
         bisected = sequential_threshold(n_quanta, phi, which, mode, fixed)
@@ -240,7 +262,7 @@ class TestThreshold:
         monkeypatch.setattr(steering, "_reports", counted)
         fixed = None if mode == "symmetric" else sum(FIXED_RANGE[mode][n_quanta]) / 2.0
         phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
-        threshold_efficiency(n_quanta, phi, which, mode=mode, fixed_value=fixed)
+        threshold_efficiency(n_quanta, phi, which, **fixed_kwargs(mode, fixed))
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("hug", [None, "lo", "hi", "outside", "nan"])
@@ -275,32 +297,13 @@ class TestThreshold:
         monkeypatch.setattr(steering, "_reports", stepped)
         if hug:
             monkeypatch.setattr(steering, "_inverse_estimate", hugging)
-        eta = threshold_efficiency(1, 0.0, "p", bracket=bracket, width=THRESHOLD_WIDTH)
+        assert bracket == steering.THRESHOLD_BRACKET
+        eta = threshold_efficiency(1, 0.0, "p")
         thirds = math.ceil(math.log((bracket[1] - bracket[0]) / 6 / THRESHOLD_WIDTH, 3))
         # an estimate outside the bracket is never probed: each round cuts it to a third
         assert len(calls) - 1 <= (thirds if hug in ("outside", "nan") else 2 * thirds + 1)
         assert calls[0] == 7 and all(size <= 2 for size in calls[1:])
         assert e_of(eta - THRESHOLD_WIDTH / 2) >= 1.0 > e_of(eta + THRESHOLD_WIDTH / 2)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"width": float("nan")},
-            {"width": float("inf")},
-            {"width": -1e-6},
-            {"bracket": (float("nan"), 1.0)},
-            {"bracket": (0.5, float("inf"))},
-            {"bracket": (-0.1, 1.0)},
-            {"bracket": (0.5, 1.5)},
-            {"bracket": (0.9, 0.9)},
-            {"bracket": (1.0, 0.5)},
-        ],
-        ids=["width-nan", "width-inf", "width-negative", "lo-nan", "hi-inf", "lo-below-0",
-             "hi-above-1", "empty", "reversed"],
-    )
-    def test_rejects_bad_width_and_bracket(self, kwargs):
-        with pytest.raises(ValueError, match="threshold (width|bracket)"):
-            threshold_efficiency(1, 0.0, "p", **kwargs)
 
 
 def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 1.0), width=1e-6):
@@ -308,7 +311,7 @@ def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 
     call at a time."""
 
     def e_at(eta):
-        return steering_functional(n_quanta, phi, steering._channel_for(mode, fixed_value, eta), which).E
+        return steering_functional(n_quanta, phi, channel_for(mode, fixed_value, eta), which).E
 
     lo, hi = bracket
     e_lo, e_hi = e_at(lo), e_at(hi)
@@ -328,18 +331,28 @@ def sequential_threshold(n_quanta, phi, which, mode, fixed_value, bracket=(0.5, 
     return 0.5 * (lo + hi)
 
 
-def threshold_outcome(solve, n_quanta, phi, mode, fixed_value):
-    """eta*, or the name of the error class."""
+def threshold_outcome(solve):
+    """eta* from ``solve()``, or the name of the error class."""
     try:
-        return float(solve(n_quanta, phi, "p", mode=mode, fixed_value=fixed_value))
+        return float(solve())
     except NoonSteerError as exc:
         return type(exc).__name__
+
+
+def axis(etas):
+    """The channels of a symmetric efficiency axis, eta_a = eta_b."""
+    return [LossChannel(eta, eta) for eta in etas]
+
+
+def product(eta_a_values, eta_b_values):
+    """The channels of an (eta_a, eta_b) product grid, eta_a outermost."""
+    return [LossChannel(eta_a, eta_b) for eta_a in eta_a_values for eta_b in eta_b_values]
 
 
 class TestSweep:
     def test_monotone_in_eta_and_zero_at_lossless(self):
         grid = [round(0.86 + 0.02 * i, 2) for i in range(8)]
-        rows = sweep([1, 2], caption_phase, "p", symmetric=grid)
+        rows = sweep([1, 2], caption_phase, axis(grid), "p")
         for n_quanta in (1, 2):
             curve = [r.E for r in rows if r.n_quanta == n_quanta]
             assert all(b <= a + 1e-9 for a, b in zip(curve, curve[1:]))
@@ -348,7 +361,7 @@ class TestSweep:
                 assert row.E == 0.0
 
     def test_rows_sorted_and_errors_flagged(self):
-        rows = sweep([1], 0.0, "p", symmetric=[0.0, 0.9, 1.0])
+        rows = sweep([1], 0.0, axis([0.0, 0.9, 1.0]), "p")
         keys = [(r.n_quanta, r.eta_a, r.eta_b) for r in rows]
         assert keys == sorted(keys)
         flagged = [r for r in rows if r.error is not None]
@@ -361,7 +374,7 @@ class TestSweep:
         # rather than any N-independent constant; check that cusp-aware bound
         # and monotonicity, which is what continuity of the curve amounts to
         grid = [round(0.9 + 0.01 * i, 2) for i in range(11)]
-        rows = sweep([1, 2, 3], caption_phase, "p", symmetric=grid)
+        rows = sweep([1, 2, 3], caption_phase, axis(grid), "p")
         for n_quanta in (1, 2, 3):
             curve = [(r.eta_a, r.E) for r in rows if r.n_quanta == n_quanta]
             scale = 1.5 * curve[0][1] / math.sqrt(1.0 - curve[0][0])
@@ -371,15 +384,16 @@ class TestSweep:
                 assert abs(e_hi - e_lo) < bound, (n_quanta, eta_hi)
 
     def test_asymmetry_direction(self):
-        rows = sweep([2], math.pi / 2, "p", eta_a_values=[0.90, 1.0], eta_b_values=[0.90, 1.0])
+        rows = sweep([2], math.pi / 2, product([0.90, 1.0], [0.90, 1.0]), "p")
         table = {(r.eta_a, r.eta_b): r.E for r in rows}
         assert table[(0.90, 1.0)] < table[(1.0, 0.90)]
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            sweep([1], 0.0, "p", symmetric=[0.9])
-        with pytest.raises(ValueError):
-            sweep([1], 0.0, "p")
+        # the CLI builds the grid of a sweep and refuses an axis under 2 points
+        with pytest.raises(ValueError, match="grid needs at least 2 points per axis"):
+            cli._grid_values(0.9, 0.9, 0.01)
+        with pytest.raises(ValueError, match="grid needs at least 2 points per axis"):
+            cli._grid_values(0.9, 0.8, 0.01, axes=2)
 
 
 ROW_FIELDS = ("var_number", "var_quadrature_n", "commutator_modulus", "E", "violated")
@@ -420,23 +434,23 @@ class TestBatchedSweep:
         eta_a = data.draw(st.permutations([*axis_a, 1.0, axis_a[0]]))
         eta_b = data.draw(st.permutations([*axis_b, 1.0, axis_b[-1]]))
         phi = caption_phase(n_quanta) if which.lower() == "p" else math.pi / 2
-        rows = sweep([n_quanta], phi, which, eta_a_values=eta_a, eta_b_values=eta_b)
+        rows = sweep([n_quanta], phi, product(eta_a, eta_b), which)
         assert len(rows) == len(eta_a) * len(eta_b) > steering.SWEEP_CHUNK
         for row in rows:
             assert row.which == which.lower()
             assert row_outcome(row) == point_outcome(n_quanta, phi, row.eta_a, row.eta_b, which)
 
     def test_upper_case_criterion_gives_the_lower_case_rows(self):
-        rows = sweep([1], 0.0, "P", symmetric=[0.9, 0.95])
-        assert rows == sweep([1], 0.0, "p", symmetric=[0.9, 0.95])
+        rows = sweep([1], 0.0, axis([0.9, 0.95]), "P")
+        assert rows == sweep([1], 0.0, axis([0.9, 0.95]), "p")
         assert [row.which for row in rows] == [steering_functional(1, 0.0, LOSSLESS, "P").which] * 2 == ["p"] * 2
 
-    def test_mixed_errors_match_steering_functional(self):
+    def test_mixed_errors_match_steering_functional(self, monkeypatch):
         # N = 2 at phi = 0 is nondiscriminating for P; N = 17 is past the
         # wavefunction order with or without loss; lossy N = 6 evaluates
         phases = {1: 0.0, 2: 0.0, 6: math.pi / 2, 17: 0.0}
         grid = [0.0, 0.6, 0.95, 1.0]
-        rows = sweep(sorted(phases), phases.get, "p", symmetric=grid)
+        rows = sweep(sorted(phases), phases.get, axis(grid), "p")
         got = {(r.n_quanta, r.eta_a): row_outcome(r) for r in rows}
         want = {(n, eta): point_outcome(n, phases[n], eta, eta, "p") for n in phases for eta in grid}
         assert got == want
@@ -449,15 +463,17 @@ class TestBatchedSweep:
         # a threshold solve raises the error of the first failing point of its scan,
         # as eval and a sweep row give it: the phase first, then eta_a eta_b = 0,
         # then the order
+        default, full = steering.THRESHOLD_BRACKET, (0.0, 1.0)
         solves = {
-            (1, 0.0): {"bracket": (0.0, 1.0)},
-            (6, 0.0): {"mode": "fix_eta_a", "fixed_value": 0.0},
-            (17, 0.0): {"bracket": (0.0, 1.0)},
-            (17, 0.6): {},
-            (2, 0.0): {"bracket": (0.0, 1.0)},
-            (2, 0.95): {},
+            (1, 0.0): (full, {}),
+            (6, 0.0): (default, {"fix_eta_a": 0.0}),
+            (17, 0.0): (full, {}),
+            (17, 0.6): (default, {}),
+            (2, 0.0): (full, {}),
+            (2, 0.95): (default, {}),
         }
-        for (n, eta), kwargs in solves.items():
+        for (n, eta), (bracket, kwargs) in solves.items():
+            monkeypatch.setattr(steering, "THRESHOLD_BRACKET", bracket)
             with pytest.raises(NoonSteerError) as failure:
                 threshold_efficiency(n, phases[n], "p", **kwargs)
             assert f"{type(failure.value).__name__}: {failure.value}" == got[(n, eta)] == want[(n, eta)]
@@ -467,7 +483,7 @@ class TestBatchedSweep:
         # values, the second the last 4 rows of one
         eta_a = [0.97, 0.83, 0.91]
         eta_b = [round(0.8 + 0.017 * i, 3) for i in range(12)]
-        rows = sweep([2], math.pi / 2, "p", eta_a_values=eta_a, eta_b_values=eta_b)
+        rows = sweep([2], math.pi / 2, product(eta_a, eta_b), "p")
         assert len(rows) == 36 > steering.SWEEP_CHUNK
         for row in rows:
             assert row_outcome(row) == point_outcome(2, math.pi / 2, row.eta_a, row.eta_b, "p")
@@ -490,7 +506,7 @@ class TestBatchedSweep:
         # near its zero, takes the modulus below the smallest float
         with pytest.raises(DegenerateChannel, match="modulus underflows"):
             steering_functional(n_quanta, phi, LossChannel(eta, eta), "p")
-        rows = sweep([n_quanta], phi, "p", symmetric=[eta, 0.5, 0.9])
+        rows = sweep([n_quanta], phi, axis([eta, 0.5, 0.9]), "p")
         assert rows[0].error.startswith("DegenerateChannel: the commutator modulus underflows")
         want = [point_outcome(n_quanta, phi, e, e, "p") for e in (0.5, 0.9)]
         assert [row_outcome(r) for r in rows[1:]] == want
@@ -512,7 +528,7 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match="var_number must be nonnegative"):
             steering_functional(1, 0.0, bad, "p")
         with pytest.raises(ValueError, match="var_number must be nonnegative"):
-            sweep([1], 0.0, "p", symmetric=[0.8, 0.9, 1.0])
+            sweep([1], 0.0, axis([0.8, 0.9, 1.0]), "p")
 
     def test_stalled_chunk_flags_only_its_stalled_row(self, monkeypatch):
         grid = [round(0.8 + 0.005 * i, 3) for i in range(41)]
@@ -535,7 +551,7 @@ class TestBatchedSweep:
             return perturbed, ladder_b
 
         monkeypatch.setattr(inferred, "_moment_numerators", stalling)
-        rows = sweep([1], 0.0, "p", symmetric=grid)
+        rows = sweep([1], 0.0, axis(grid), "p")
         # one call per chunk, then the failed chunk again one row at a time
         assert calls == [32, 9] + [1] * 9
         flagged = [(r.eta_a, *r.error.split(": ", 1)) for r in rows if r.error]
@@ -672,7 +688,37 @@ class TestCoherenceInequality:
     def test_hill_probabilities_sum_to_one(self, ea, eb):
         report = coherence_inequality(2, math.pi / 2, LossChannel(ea, eb))
         assert report.p_hill_nonzero + report.p_hill_zero == pytest.approx(1.0, abs=1e-12)
-        assert report.hill1_var >= 0.0 and report.hill2_var >= 0.0
+        assert report.hill2_var >= 0.0
+
+    def test_nondiscriminating_phase_and_degenerate_channel_raise_as_in_eval(self):
+        # the errors of ``steering_functional``, not a verdict on a zero denominator
+        with pytest.raises(NondiscriminatingPhase):
+            coherence_inequality(1, math.pi / 2, LOSSLESS, "p")
+        with pytest.raises(DegenerateChannel):
+            coherence_inequality(2, math.pi / 2, LossChannel(0.0, 1.0), "p")
+
+    @pytest.mark.parametrize("n_quanta", [1, 2, 3, 4, 5, 6, 7, 8])
+    @pytest.mark.parametrize("which", ["p", "x"])
+    def test_matches_the_pooled_two_hill_product_bit_for_bit(self, n_quanta, which):
+        # the n_a > 0 hill, pooled over m = 1..N, adds exactly 0 to the product
+        phi = caption_phase(n_quanta) if which == "p" else math.pi / 2
+        values = np.arange(n_quanta + 1, dtype=float)
+
+        def spread(dist):
+            mean = float(np.dot(dist, values))
+            return float(np.dot(dist, (values - mean) ** 2))
+
+        for channel in (LOSSLESS, LossChannel(0.95, 0.9), LossChannel(0.6, 1.0), LossChannel(1.0, 0.3)):
+            marginal = number_marginal_a(n_quanta, channel)
+            p_nonzero = float(marginal[1:].sum())
+            pooled = sum(marginal[m] * conditional_number_b(n_quanta, channel, m) for m in range(1, n_quanta + 1))
+            hills = p_nonzero * spread(pooled / p_nonzero) + marginal[0] * spread(
+                conditional_number_b(n_quanta, channel, 0)
+            )
+            lhs = hills * inferred.inferred_variance_quadrature(n_quanta, phi, channel, which)
+            rhs = inferred_commutator_modulus(n_quanta, phi, channel, which) ** 2 / 4.0
+            report = coherence_inequality(n_quanta, phi, channel, which)
+            assert (report.lhs, report.rhs, report.violated) == (lhs, rhs, lhs < rhs)
 
     def test_steering_violation_implies_coherence_violation(self):
         # on the loss-model family the conditional distributions are uniform
