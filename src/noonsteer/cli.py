@@ -234,6 +234,8 @@ def cmd_sample(args, phi: float) -> int:
         "var_quadN_stderr": estimate.var_quadrature_n.stderr,
         "commutator": estimate.commutator_modulus.value,
         "commutator_stderr": estimate.commutator_modulus.stderr,
+        "acceptance": estimate.acceptance,
+        "min_occupancy": estimate.min_occupancy,
     }
     _emit(render_rows([payload], args.fmt), args.output)
     return 0

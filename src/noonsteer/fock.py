@@ -134,9 +134,14 @@ def quadrature_power(dim: int, theta: float, order: int) -> np.ndarray:
     """(X_theta)^order on levels 0..dim-1, exact in every entry: X^order with
     entry (j, k) phased by e^{i (j - k) theta}, as X_theta = e^{i theta a^dag a}
     X e^{-i theta a^dag a}. X is built at a cutoff of dim + order and cropped:
-    a path of ``order`` ladder steps between levels below dim never leaves it."""
+    a path of ``order`` ladder steps between levels below dim never leaves it.
+    theta is first reduced to [-pi, pi] (``math.remainder``, exact, and the
+    identity on that interval), so theta (j - k) cannot overflow."""
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    theta = math.remainder(theta, 2.0 * math.pi)
     ladder = np.sqrt(np.arange(1, dim + order, dtype=float))
     x = np.diag(ladder, k=1) + np.diag(ladder, k=-1)
     levels = np.arange(dim)

@@ -22,12 +22,20 @@ and the values are the variance of Q^N and the modulus of the per-bin
 combination of setting means (the modulus is taken per bin, never per shot).
 Both groupings take each group's moments from one helper that centres them on
 the group mean (``_group_moments``); x bins are found by arithmetic, not search.
+
+Each setting's shots are drawn in blocks of SHOT_BLOCK shots (the last one
+may be partial). A (setting, block) pair draws from its own substream and
+fills its own slice of the setting's outcome arrays, so the blocks run on a
+thread per usable core and the result, shot log included, is the same for
+any core count. The draw's working set is bounded per block, not per setting.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -49,6 +57,9 @@ X_GUIDE_CELLS = 1 << 14
 MIN_BIN_OCCUPANCY = 20
 #: Most fine x bins one estimate may ask for, checked before any array is built.
 MAX_BINS = 10**6
+#: Shots per block: every (setting, block) draws from its own substream, so
+#: this fixes the random stream; it also bounds the per-block working set.
+SHOT_BLOCK = 1 << 16
 
 
 def setting_label(name: str) -> str:
@@ -78,6 +89,10 @@ class SteeringEstimate:
     var_number: ComponentEstimate
     var_quadrature_n: ComponentEstimate
     commutator_modulus: ComponentEstimate
+    #: accepted homodyne shots over the rejection loop's proposals
+    acceptance: float
+    #: fewest shots of one setting in one merged bin
+    min_occupancy: int
 
 
 def sample_number_pair(n_quanta: int, channel: LossChannel, rng: np.random.Generator, size: int = 1):
@@ -239,6 +254,26 @@ def sample_quadrature_pair(
     return x, q
 
 
+class _ProposalCounter(np.random.Generator):
+    """A generator that counts the normal variates it draws: in
+    ``sample_quadrature_pair`` those are the rejection loop's proposals."""
+
+    proposals = 0
+
+    def normal(self, loc=0.0, scale=1.0, size=None):
+        out = super().normal(loc, scale, size)
+        self.proposals += np.size(out)
+        return out
+
+
+def _worker_count() -> int:
+    """Cores this process may run on (its CPU affinity where the OS reports it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _homodyne_settings(n_quanta: int, which: str):
     """Settings needed for the variance and commutator estimators.
 
@@ -362,8 +397,14 @@ def estimate_steering(
     """Estimate E and its three components from simulated shots.
 
     Shots are split round-robin across the number setting and the homodyne
-    settings the configuration needs; each setting draws from its own spawned
-    substream, so runs are reproducible and mergeable. ``shot_log`` may be a
+    settings the configuration needs. ``SeedSequence(seed)`` spawns one
+    sequence per setting, and each of those one substream per block of
+    SHOT_BLOCK shots; the blocks are drawn concurrently, one thread per usable
+    core, each into its own slice of the outcomes, so the estimate and the
+    shot log depend on the seed alone, never on the core count, and the
+    draw's temporaries are bounded per block. ``acceptance`` counts the
+    homodyne shots over the rejection loop's proposals, and ``min_occupancy``
+    is the fewest shots of one setting in one merged bin. ``shot_log`` may be a
     path or file object; records are written interleaved in round-robin
     order as ``setting,outcome_a,outcome_b``. A path is opened before any
     shot is drawn, so one that cannot be written fails at once; an estimate
@@ -388,20 +429,46 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
     which = which.lower()
     hom_settings, combo = _homodyne_settings(n_quanta, which)
     settings = [SETTING_NUMBER, *hom_settings]
-    streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(len(settings))]
-    per_setting = {
-        name: shots // len(settings) + (1 if i < shots % len(settings) else 0)
-        for i, name in enumerate(settings)
-    }
+    sizes = [shots // len(settings) + (i < shots % len(settings)) for i in range(len(settings))]
+    # per setting, the outcome pair (n_a, n_b) or (x, q) that its blocks fill
+    outcomes = [(np.empty(sizes[0], np.int64), np.empty(sizes[0], np.int64))]
+    outcomes += [(np.empty(size), np.empty(size)) for size in sizes[1:]]
+    blocks = []  # (setting, substream, shot slice, outcome pair)
+    for name, sequence, size, pair in zip(settings, np.random.SeedSequence(seed).spawn(len(settings)), sizes, outcomes):
+        starts = range(0, size, SHOT_BLOCK)
+        blocks += [
+            (name, child, slice(start, min(start + SHOT_BLOCK, size)), pair)
+            for start, child in zip(starts, sequence.spawn(len(starts)))
+        ]
 
-    n_a, n_b = sample_number_pair(n_quanta, channel, streams[0], per_setting[SETTING_NUMBER])
+    def draw(block) -> int:
+        """Fill one block's slice of its setting's outcomes; returns its proposals."""
+        name, sequence, part, (out_a, out_b) = block
+        stream = _ProposalCounter(np.random.PCG64(sequence))
+        size = part.stop - part.start
+        if name == SETTING_NUMBER:
+            out_a[part], out_b[part] = sample_number_pair(n_quanta, channel, stream, size)
+            return 0
+        out_a[part], out_b[part] = sample_quadrature_pair(n_quanta, phi, channel, name, stream, size)
+        return stream.proposals
+
+    # the shared tables are built here, not raced for by the workers
+    _x_cdf_table(n_quanta, channel.eta_a)
+    _envelope_peaks(n_quanta)
+    workers = _worker_count()
+    if workers == 1:
+        # on this thread, which spares a worker thread's allocator arena
+        proposals = sum(map(draw, blocks))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # map yields in block order, re-raises a block's exception and
+            # cancels the blocks not yet started
+            proposals = sum(pool.map(draw, blocks))
+
+    (n_a, n_b), *pairs = outcomes
     number = _number_variance(n_quanta, n_a, n_b)
-
-    x_by, q_by = {}, {}
-    for name, stream in zip(settings[1:], streams[1:]):
-        x_by[name], q_by[name] = sample_quadrature_pair(
-            n_quanta, phi, channel, name, stream, per_setting[name]
-        )
+    x_by = {name: x for name, (x, _) in zip(hom_settings, pairs)}
+    q_by = {name: q for name, (_, q) in zip(hom_settings, pairs)}
 
     edges = np.linspace(bin_range[0], bin_range[1], bins + 1)
     moments = _binned_moments(x_by, {name: reduce(np.multiply, [q] * n_quanta) for name, q in q_by.items()}, edges)
@@ -459,6 +526,8 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
         var_number=number,
         var_quadrature_n=quad_n,
         commutator_modulus=commutator,
+        acceptance=sum(sizes[1:]) / proposals,
+        min_occupancy=int(min(moments[name][0].min() for name in hom_settings)),
     )
 
 

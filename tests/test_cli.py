@@ -338,7 +338,7 @@ class TestSample:
         assert list(json.loads(out)[0]) == [
             "N", "phi", "eta_a", "eta_b", "criterion", "shots", "seed", "bins", "E_hat", "stderr",
             "var_number", "var_number_stderr", "var_quadN", "var_quadN_stderr",
-            "commutator", "commutator_stderr",
+            "commutator", "commutator_stderr", "acceptance", "min_occupancy",
         ]
 
     def test_small_run_legal(self, capsys):

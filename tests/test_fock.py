@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from noonsteer.errors import OutOfSupportedOrder
 from noonsteer.fock import (
+    OBSERVABLE_THETA,
     SUPPORTED_WAVEFUNCTION_ORDER,
     operator_matrix,
     quadrature_power,
@@ -183,6 +184,23 @@ class TestOperators:
         small = quadrature_power(dim, theta, order)
         large = quadrature_power(dim + extra, theta, order)[:dim, :dim]
         assert np.array_equal(small.view(np.uint64), large.view(np.uint64))
+
+    @pytest.mark.parametrize("theta", [1e308, -1e308, 1e17])
+    def test_huge_angle_is_reduced_before_phasing(self, theta):
+        # theta (j - k) would overflow to inf, and e^{i inf} is NaN
+        got = quadrature_power(3, theta, 2)
+        assert np.all(np.isfinite(got))
+        want = quadrature_power(3, math.remainder(theta, 2.0 * math.pi), 2)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_production_angles_pass_unreduced(self):
+        for theta in OBSERVABLE_THETA.values():
+            assert math.remainder(theta, 2.0 * math.pi) == theta
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            quadrature_power(3, theta, 2)
 
 
 def commutator_reduction_deviation(n_power, dim):

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import math
+import sys
+import threading
+import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -640,6 +644,150 @@ class TestShotLogValidation:
             )
 
 
+def reference_outcomes(n_quanta, phi, channel, which, shots, seed):
+    """(settings, n_a, n_b, x_by, q_by) drawn one block after another: each
+    setting's spawned sequence spawns one substream per SHOT_BLOCK shots, and
+    the blocks' draws are concatenated."""
+    hom_settings, _ = _homodyne_settings(n_quanta, which)
+    settings = [SETTING_NUMBER, *hom_settings]
+    drawn = {}
+    for i, (name, sequence) in enumerate(zip(settings, np.random.SeedSequence(seed).spawn(len(settings)))):
+        size = shots // len(settings) + (i < shots % len(settings))
+        sizes = [min(sampling.SHOT_BLOCK, size - start) for start in range(0, size, sampling.SHOT_BLOCK)]
+        parts = [
+            sample_number_pair(n_quanta, channel, np.random.default_rng(child), part)
+            if name == SETTING_NUMBER
+            else sample_quadrature_pair(n_quanta, phi, channel, name, np.random.default_rng(child), part)
+            for child, part in zip(sequence.spawn(len(sizes)), sizes)
+        ]
+        drawn[name] = [np.concatenate(column) for column in zip(*parts)]
+    n_a, n_b = drawn.pop(SETTING_NUMBER)
+    return settings, n_a, n_b, {k: v[0] for k, v in drawn.items()}, {k: v[1] for k, v in drawn.items()}
+
+
+#: tracemalloc peak of a 10^6-shot N = 1 estimate with two blocks in flight.
+#: It read 29.4 MB with one or two workers (the peak falls in the binned
+#: estimators, after the draw); drawing each setting whole, 333334 shots at
+#: a time, it read 41.7 MB.
+PEAK_BYTES_BOUND = 33e6
+
+
+def first_difference(got: str, want: str):
+    """None for equal texts, else the first differing line of each (a failing
+    == on two long texts would have pytest diff them for minutes)."""
+    if got == want:
+        return None
+    pairs = zip_longest(got.splitlines(), want.splitlines())
+    return next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
+
+
+class TestShotBlocks:
+    @pytest.mark.parametrize(
+        "block,shots",
+        [(sampling.SHOT_BLOCK, 3_001), (1_000, 7_501), (1_000, 6_000)],
+        ids=["under-one-block", "partial-last-block", "whole-blocks"],
+    )
+    def test_shot_log_is_the_blocks_in_order(self, block, shots, monkeypatch):
+        monkeypatch.setattr(sampling, "SHOT_BLOCK", block)
+        got = io.StringIO()
+        estimate_steering(2, math.pi / 2, LossChannel(0.95, 0.93), "p", shots=shots, seed=41, shot_log=got)
+        want = io.StringIO()
+        _write_shot_log(want, *reference_outcomes(2, math.pi / 2, LossChannel(0.95, 0.93), "p", shots, 41))
+        assert first_difference(got.getvalue(), want.getvalue()) is None
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    def test_worker_count_changes_no_bit(self, workers, monkeypatch):
+        # 8 workers and a short switch interval interleave the blocks' writes
+        # finely; a write lost or put in another block's slice changes the log
+        monkeypatch.setattr(sampling, "SHOT_BLOCK", 1_000)
+        args = (3, 0.0, LossChannel(0.9, 0.95), "p")
+        kwargs = dict(shots=20_001, bins=64, seed=43)
+        default_log, own_log = io.StringIO(), io.StringIO()
+        default = estimate_steering(*args, **kwargs, shot_log=default_log)
+        monkeypatch.setattr(sampling, "_worker_count", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            own = estimate_steering(*args, **kwargs, shot_log=own_log)
+        finally:
+            sys.setswitchinterval(interval)
+        assert own == default
+        assert first_difference(own_log.getvalue(), default_log.getvalue()) is None
+
+    def test_worker_count_changes_no_bit_at_full_blocks(self, monkeypatch):
+        shots = 7 * sampling.SHOT_BLOCK + 5  # two full blocks and a partial one per setting
+        default = estimate_steering(1, 0.0, LossChannel(0.95, 0.93), "p", shots=shots, bins=128, seed=47)
+        monkeypatch.setattr(sampling, "_worker_count", lambda: 1)
+        assert estimate_steering(1, 0.0, LossChannel(0.95, 0.93), "p", shots=shots, bins=128, seed=47) == default
+
+    def test_block_exception_reaches_caller(self, monkeypatch, tmp_path):
+        class Boom(Exception):
+            pass
+
+        draw = sampling.sample_quadrature_pair
+
+        def failing(n_quanta, phi, channel, observable, rng, size):
+            if observable == "X":
+                raise Boom(observable)
+            return draw(n_quanta, phi, channel, observable, rng, size)
+
+        monkeypatch.setattr(sampling, "SHOT_BLOCK", 100)
+        monkeypatch.setattr(sampling, "sample_quadrature_pair", failing)
+        log, raised = tmp_path / "shots.csv", []
+
+        def run():
+            try:
+                estimate_steering(1, 0.0, LOSSLESS, "p", shots=30_000, seed=3, shot_log=log)
+            except Boom as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1 and raised[0].args == ("X",)
+        assert log.read_text() == ""
+
+    def test_peak_memory_is_bounded_per_block(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_worker_count", lambda: 2)
+        estimate_steering(1, 0.0, LossChannel(0.95, 0.93), "p", shots=1_000, seed=1)  # build the tables
+        tracemalloc.start()
+        try:
+            estimate_steering(1, 0.0, LossChannel(0.95, 0.93), "p", shots=1_000_000, bins=128, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < PEAK_BYTES_BOUND
+
+
+class TestDiagnostics:
+    def test_acceptance_matches_mean_bound(self):
+        # a shot takes bound(x) / 2P(x) proposals on average (geometric), so the
+        # acceptance is the shot count over the summed means, setting by setting
+        n_quanta, phi, channel, shots = 2, math.pi / 2, LossChannel(0.95, 0.93), 300_000
+        est = estimate_steering(n_quanta, phi, channel, "p", shots=shots, bins=128, seed=51)
+        settings, _ = _homodyne_settings(n_quanta, "p")
+        gen = rng(52)
+        mean_proposals = []
+        for name in settings:
+            x = _draw_x(n_quanta, channel, gen, 400_000)
+            *_, bound = _conditional_profile(n_quanta, phi, channel, OBSERVABLE_THETA[name], x)
+            mean_proposals.append(float(np.mean(bound / (2.0 * px_density(n_quanta, channel, x)))))
+        assert est.acceptance == pytest.approx(1.0 / np.mean(mean_proposals), rel=0.01)
+        peaks, _ = _envelope_peaks(n_quanta)
+        assert 1.0 / (2.0 * peaks.max()) <= est.acceptance <= 1.0
+
+    def test_min_occupancy_of_one_bin_is_the_smallest_setting(self):
+        # 100 shots over number, P and X: 34, 33 and 33, all in the one bin
+        est = estimate_steering(1, 0.0, LOSSLESS, "p", shots=100, bins=1, seed=1)
+        assert est.bins == 1
+        assert est.min_occupancy == 33
+
+    def test_min_occupancy_after_merging(self):
+        est = estimate_steering(2, math.pi / 2, LossChannel(0.95, 0.93), "p", shots=30_000, bins=128, seed=5)
+        assert MIN_BIN_OCCUPANCY <= est.min_occupancy < 30_000 // 3
+
+
 #: estimate_steering(N, phi, LossChannel(0.95, 0.93), "p", shots, bins=128,
 #: seed) -> (merged bins, e_hat, stderr, var_number value and stderr,
 #: var_quadrature_n value and stderr, commutator_modulus value and stderr),
@@ -655,29 +803,34 @@ class TestShotLogValidation:
 #: moment came from sums of powers of the deviation from the group mean
 #: instead of raw power sums, and q^N from repeated products instead of pow
 #: (at most 1.6e-13 relative, in the var_number stderr at N = 3); the merged
-#: bin counts and the shot log did not move. A change to the random stream
-#: (draw order, sizes or envelope) must re-record these.
+#: bin counts and the shot log did not move. Every value and the shot log
+#: were re-recorded when each setting's draw was cut into blocks of
+#: SHOT_BLOCK shots, each from a substream its setting's spawned sequence
+#: spawns in turn: these runs fit in one block per setting, but that block
+#: draws from the spawned child, not the setting's sequence itself. A change
+#: to the random stream (draw order, sizes, block layout or envelope) must
+#: re-record these.
 RECORDED_ESTIMATES = {
     (1, 0.0, 30_000, 101): (53, (
-        "0x1.b52b5f8bcdb65p-1", "0x1.0390156117075p-5", "0x1.cd4d6eb30d7f7p-5",
-        "0x1.ec35ec6d5c7ecp-10", "0x1.e93273f799350p+0", "0x1.5ad76d04ce591p-6",
-        "0x1.8967b57e96315p-1", "0x1.7716541d84aacp-7",
+        "0x1.ace86478a8702p-1", "0x1.0d4d0a685e7ffp-5", "0x1.9f768328fc0f8p-5",
+        "0x1.deec3164158b4p-10", "0x1.ed4138691dec7p+0", "0x1.6484039b5162fp-6",
+        "0x1.7e1d27f7676d2p-1", "0x1.7d1bc4fe0f193p-7",
     )),
-    (2, math.pi / 2, 40_003, 202): (61, (
-        "0x1.e8e7299ad6825p-1", "0x1.2d3c7a04986c6p-4", "0x1.1ee035d42ed60p-4",
-        "0x1.6bb8588f91ed4p-9", "0x1.3b01b3bb98f79p+3", "0x1.e07d069f4f305p-3",
-        "0x1.bd36dc9fd887ep+0", "0x1.42a1428b4c130p-4",
+    (2, math.pi / 2, 40_003, 202): (60, (
+        "0x1.cd224060c7676p-1", "0x1.123a4fe928e58p-4", "0x1.0df59a68607edp-4",
+        "0x1.423ea37780f0dp-9", "0x1.3bc4b3958cbbbp+3", "0x1.dd5556d713190p-3",
+        "0x1.ca73148960569p+0", "0x1.41d34cd164550p-4",
     )),
-    (3, 0.0, 50_000, 303): (69, (
-        "0x1.65ac5b0177f15p+1", "0x1.6e37f4b4741bfp-2", "0x1.a448972841ed3p-4",
-        "0x1.d17ccbd32153bp-9", "0x1.aeb7a25b28f9dp+8", "0x1.a14c779c00293p+3",
-        "0x1.3086061290d24p+2", "0x1.d1850ea14005ap-2",
+    (3, 0.0, 50_000, 303): (68, (
+        "0x1.70cdb489aa17cp+1", "0x1.9580194973fe6p-2", "0x1.82ed10f69969ap-4",
+        "0x1.a7baca674b9aap-9", "0x1.ab1bbc47efe2ep+8", "0x1.82e0afb751cb4p+3",
+        "0x1.1a2e5b6b2ab10p+2", "0x1.df5c9e425c32dp-2",
     )),
 }
 
 #: sha256 of the shot log of the N = 2 configuration above (40003 shots, so
 #: the last round is partial), recorded with the estimates.
-RECORDED_LOG_SHA256 = "8d851c57b2fcc3eb62a4f71b4b5490109621ea52f58714472c56a7a9edc11862"
+RECORDED_LOG_SHA256 = "025755e48187b0b7a6cb8e782ec9d7a552ab5a2a52172216380f39143f8094b5"
 
 
 class TestRecordedParity:
