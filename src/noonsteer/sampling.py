@@ -35,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
@@ -254,16 +253,23 @@ def sample_quadrature_pair(
     return x, q
 
 
-class _ProposalCounter(np.random.Generator):
-    """A generator that counts the normal variates it draws: in
-    ``sample_quadrature_pair`` those are the rejection loop's proposals."""
+class _ProposalCounter:
+    """A generator that counts the normal variates drawn through it: in
+    ``sample_quadrature_pair`` those are the rejection loop's proposals. It
+    wraps ``np.random.Generator`` instead of subclassing it, so importing this
+    module leaves ``numpy.random`` unloaded for the commands that never draw."""
 
-    proposals = 0
+    def __init__(self, generator: np.random.Generator):
+        self.generator = generator
+        self.proposals = 0
 
     def normal(self, loc=0.0, scale=1.0, size=None):
-        out = super().normal(loc, scale, size)
+        out = self.generator.normal(loc, scale, size)
         self.proposals += np.size(out)
         return out
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
 
 
 def _worker_count() -> int:
@@ -444,7 +450,7 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
     def draw(block) -> int:
         """Fill one block's slice of its setting's outcomes; returns its proposals."""
         name, sequence, part, (out_a, out_b) = block
-        stream = _ProposalCounter(np.random.PCG64(sequence))
+        stream = _ProposalCounter(np.random.Generator(np.random.PCG64(sequence)))
         size = part.stop - part.start
         if name == SETTING_NUMBER:
             out_a[part], out_b[part] = sample_number_pair(n_quanta, channel, stream, size)
@@ -457,9 +463,15 @@ def _estimate(n_quanta, phi, channel, which, shots, bins, seed, bin_range, shot_
     _envelope_peaks(n_quanta)
     workers = _worker_count()
     if workers == 1:
-        # on this thread, which spares a worker thread's allocator arena
+        # on one core, this thread: a worker thread draws in its own malloc
+        # arena, which took 36% more page faults and 13-15% more time per
+        # estimate (BENCH_sampler_blocks.json, "one_worker")
         proposals = sum(map(draw, blocks))
     else:
+        # imported here: concurrent.futures imports logging, a start-up cost
+        # that every command but ``sample`` would pay
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(workers) as pool:
             # map yields in block order, re-raises a block's exception and
             # cancels the blocks not yet started

@@ -393,6 +393,18 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)[0]["E"] == 0.0
 
+    def test_start_up_leaves_sampler_imports_unloaded(self, tmp_path):
+        # every command pays the package's import; only ``sample`` needs
+        # numpy.random and the thread pool
+        src = os.path.dirname(os.path.dirname(noonsteer.__file__))
+        code = "import sys, noonsteer.cli; print([m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules])"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_unwritable_output_is_one_line(self, tmp_path):
         proc = self.run_module(tmp_path, "eval", "--output", str(tmp_path))
         assert proc.returncode == 1
